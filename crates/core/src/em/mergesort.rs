@@ -80,16 +80,11 @@ pub struct MergeOpts {
 /// Sort `input` with the AEM mergesort at write-saving factor `k`
 /// (1 ≤ k; k=1 is the classic EM mergesort). Consumes and frees the input's
 /// blocks; returns a freshly written sorted array.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified job API: `asym_core::sort::SortSpec` + the \
-            `aem-mergesort` entry of `asym_core::sort::sorters()`"
-)]
-pub fn aem_mergesort(machine: &EmMachine, input: EmVec, k: usize) -> Result<EmVec> {
-    aem_mergesort_opts(machine, input, k, MergeOpts::default())
-}
-
-/// [`aem_mergesort`] with explicit [`MergeOpts`] (ablation entry point).
+///
+/// The engine behind `sort::run`'s `aem-mergesort` (with the default
+/// [`MergeOpts`]); called directly, it sorts on a caller-built machine —
+/// the ablation entry point for [`MergeOpts`], and the way to sort on a
+/// store no [`SortSpec`](crate::sort::SortSpec) describes.
 pub fn aem_mergesort_opts(
     machine: &EmMachine,
     input: EmVec,
@@ -312,6 +307,10 @@ mod tests {
         EmMachine::new(EmConfig::new(m, b, omega).with_slack(mergesort_slack(m, b, k)))
     }
 
+    fn mergesort(em: &EmMachine, v: EmVec, k: usize) -> Result<EmVec> {
+        aem_mergesort_opts(em, v, k, MergeOpts::default())
+    }
+
     #[test]
     fn sorts_all_workloads_beyond_base_case() {
         let (m, b, k) = (32usize, 4usize, 2usize);
@@ -319,7 +318,7 @@ mod tests {
         for wl in Workload::ALL {
             let input = wl.generate(500, 11); // 500 > kM = 64
             let v = EmVec::stage(&em, &input);
-            let sorted = aem_mergesort(&em, v, k).unwrap();
+            let sorted = mergesort(&em, v, k).unwrap();
             assert_sorted_permutation(&input, &sorted.read_all_uncharged(&em));
             sorted.free(&em);
         }
@@ -330,7 +329,7 @@ mod tests {
         let em = machine(16, 4, 1, 1);
         let input = Workload::UniformRandom.generate(300, 2);
         let v = EmVec::stage(&em, &input);
-        let sorted = aem_mergesort(&em, v, 1).unwrap();
+        let sorted = mergesort(&em, v, 1).unwrap();
         assert_sorted_permutation(&input, &sorted.read_all_uncharged(&em));
     }
 
@@ -345,7 +344,7 @@ mod tests {
         let few_distinct: Vec<Record> = (0..500).map(|i| Record::new(i % 5, i % 2)).collect();
         for input in [identical, few_distinct] {
             let v = EmVec::stage(&em, &input);
-            let sorted = aem_mergesort(&em, v, k).unwrap();
+            let sorted = mergesort(&em, v, k).unwrap();
             let out = sorted.read_all_uncharged(&em);
             assert_eq!(out.len(), input.len(), "records lost");
             assert_sorted_permutation(&input, &out);
@@ -365,7 +364,7 @@ mod tests {
             let input = Workload::UniformRandom.generate(n, 5);
             let v = EmVec::stage(&em, &input);
             em.reset_stats();
-            let sorted = aem_mergesort(&em, v, k).unwrap();
+            let sorted = mergesort(&em, v, k).unwrap();
             assert_sorted_permutation(&input, &sorted.read_all_uncharged(&em));
             let s = em.stats();
             let blocks = n.div_ceil(b) as u64;
@@ -393,7 +392,7 @@ mod tests {
             let em = machine(m, b, 8, k);
             let v = EmVec::stage(&em, &input);
             em.reset_stats();
-            let sorted = aem_mergesort(&em, v, k).unwrap();
+            let sorted = mergesort(&em, v, k).unwrap();
             let w = em.stats().block_writes;
             sorted.free(&em);
             w
@@ -411,7 +410,7 @@ mod tests {
         let em = machine(32, 4, 4, 2);
         let input = Workload::UniformRandom.generate(400, 9);
         let v = EmVec::stage(&em, &input);
-        let sorted = aem_mergesort(&em, v, 2).unwrap();
+        let sorted = mergesort(&em, v, 2).unwrap();
         // Only the output should remain live.
         assert_eq!(em.live_blocks(), sorted.num_blocks());
     }
@@ -421,7 +420,7 @@ mod tests {
         let em = EmMachine::new(EmConfig::new(4, 4, 2).with_slack(64));
         let input = Workload::UniformRandom.generate(100, 1);
         let v = EmVec::stage(&em, &input);
-        assert!(aem_mergesort(&em, v, 1).is_err()); // kM/B = 1
+        assert!(mergesort(&em, v, 1).is_err()); // kM/B = 1
     }
 
     #[test]
@@ -430,7 +429,7 @@ mod tests {
         let input = Workload::Reversed.generate(10, 0);
         let v = EmVec::stage(&em, &input);
         em.reset_stats();
-        let sorted = aem_mergesort(&em, v, 2).unwrap();
+        let sorted = mergesort(&em, v, 2).unwrap();
         assert_sorted_permutation(&input, &sorted.read_all_uncharged(&em));
         // One selection pass: ceil(10/4) reads and writes.
         assert_eq!(em.stats().block_reads, 3);

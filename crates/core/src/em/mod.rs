@@ -14,6 +14,11 @@
 //! * [`buffer_tree`] — §4.3.1–2: the (l/4, l) buffer tree.
 //! * [`pq`] — §4.3.3: the priority queue with α/β working sets.
 //! * [`heapsort`] — sorting by n inserts + n delete-mins on [`pq`].
+//!
+//! Callers run the three sorts through [`crate::sort::run`]. The sort
+//! engines here are crate-internal, except the mergesort's
+//! [`mergesort::aem_mergesort_opts`]: the `MergeOpts` ablation, and the way
+//! to sort on a caller-built machine.
 
 pub mod buffer_tree;
 pub mod heapsort;
@@ -23,9 +28,8 @@ pub mod pq;
 pub mod samplesort;
 pub mod selection;
 
-pub use heapsort::aem_heapsort;
 pub use merge_queue::FlatMergeQueue;
-pub use mergesort::{aem_mergesort, mergesort_slack};
+pub use mergesort::mergesort_slack;
 pub use pq::AemPriorityQueue;
-pub use samplesort::{aem_samplesort, samplesort_slack};
+pub use samplesort::samplesort_slack;
 pub use selection::selection_sort;

@@ -32,23 +32,7 @@ pub fn samplesort_slack(m: usize, b: usize, k: usize) -> usize {
 
 /// Sort `input` with the AEM sample sort at write-saving factor `k`
 /// (k=1 is the classic EM distribution sort). Consumes and frees the input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified job API: `asym_core::sort::SortSpec` + the \
-            `aem-samplesort` entry of `asym_core::sort::sorters()`"
-)]
-pub fn aem_samplesort(
-    machine: &EmMachine,
-    input: EmVec,
-    k: usize,
-    rng: &mut StdRng,
-) -> Result<EmVec> {
-    samplesort_run(machine, input, k, rng)
-}
-
-/// The sample-sort engine behind both the deprecated free function and the
-/// `sort::Sorter` adapter (one code path, so the two are cost-identical by
-/// construction).
+/// The engine behind `sort::run`'s `aem-samplesort`.
 pub(crate) fn samplesort_run(
     machine: &EmMachine,
     input: EmVec,
@@ -337,7 +321,7 @@ mod tests {
         for wl in Workload::ALL {
             let input = wl.generate(600, 13);
             let v = EmVec::stage(&em, &input);
-            let sorted = aem_samplesort(&em, v, k, &mut rng(1)).unwrap();
+            let sorted = samplesort_run(&em, v, k, &mut rng(1)).unwrap();
             assert_sorted_permutation(&input, &sorted.read_all_uncharged(&em));
             sorted.free(&em);
         }
@@ -348,7 +332,7 @@ mod tests {
         let em = machine(16, 4, 1, 1);
         let input = Workload::UniformRandom.generate(400, 2);
         let v = EmVec::stage(&em, &input);
-        let sorted = aem_samplesort(&em, v, 1, &mut rng(3)).unwrap();
+        let sorted = samplesort_run(&em, v, 1, &mut rng(3)).unwrap();
         assert_sorted_permutation(&input, &sorted.read_all_uncharged(&em));
     }
 
@@ -361,7 +345,7 @@ mod tests {
             let input = Workload::UniformRandom.generate(n, 5);
             let v = EmVec::stage(&em, &input);
             em.reset_stats();
-            let sorted = aem_samplesort(&em, v, k, &mut rng(7)).unwrap();
+            let sorted = samplesort_run(&em, v, k, &mut rng(7)).unwrap();
             assert_sorted_permutation(&input, &sorted.read_all_uncharged(&em));
             let s = em.stats();
             let blocks = n.div_ceil(b) as u64;
@@ -383,7 +367,7 @@ mod tests {
             let em = machine(m, b, 8, k);
             let v = EmVec::stage(&em, &input);
             em.reset_stats();
-            let sorted = aem_samplesort(&em, v, k, &mut rng(11)).unwrap();
+            let sorted = samplesort_run(&em, v, k, &mut rng(11)).unwrap();
             let w = em.stats().block_writes;
             sorted.free(&em);
             w
@@ -407,7 +391,7 @@ mod tests {
         let few_distinct: Vec<Record> = (0..600).map(|i| Record::new(i % 7, i % 2)).collect();
         for input in [identical, few_distinct] {
             let v = EmVec::stage(&em, &input);
-            let sorted = aem_samplesort(&em, v, k, &mut rng(21)).unwrap();
+            let sorted = samplesort_run(&em, v, k, &mut rng(21)).unwrap();
             let out = sorted.read_all_uncharged(&em);
             assert_eq!(out.len(), input.len(), "records lost");
             assert_sorted_permutation(&input, &out);
@@ -420,7 +404,7 @@ mod tests {
         let em = machine(32, 4, 4, 2);
         let input = Workload::UniformRandom.generate(700, 23);
         let v = EmVec::stage(&em, &input);
-        let sorted = aem_samplesort(&em, v, 2, &mut rng(5)).unwrap();
+        let sorted = samplesort_run(&em, v, 2, &mut rng(5)).unwrap();
         assert_eq!(em.live_blocks(), sorted.num_blocks());
     }
 
@@ -429,7 +413,7 @@ mod tests {
         let em = machine(32, 4, 2, 2);
         let input = Workload::Reversed.generate(50, 1);
         let v = EmVec::stage(&em, &input);
-        let sorted = aem_samplesort(&em, v, 2, &mut rng(9)).unwrap();
+        let sorted = samplesort_run(&em, v, 2, &mut rng(9)).unwrap();
         assert_sorted_permutation(&input, &sorted.read_all_uncharged(&em));
     }
 
@@ -437,7 +421,7 @@ mod tests {
     fn empty_input() {
         let em = machine(16, 4, 2, 1);
         let v = EmVec::stage(&em, &[]);
-        let sorted = aem_samplesort(&em, v, 1, &mut rng(0)).unwrap();
+        let sorted = samplesort_run(&em, v, 1, &mut rng(0)).unwrap();
         assert!(sorted.is_empty());
     }
 }

@@ -18,12 +18,12 @@
 //! * [`co`] — §5 cache-oblivious algorithms on the Asymmetric Ideal-Cache:
 //!   the low-depth sort (Figure 1), FFT, and matrix multiplication, with
 //!   their symmetric counterparts as baselines.
-//! * [`par`] — a real multi-threaded sample sort (crossbeam scoped threads)
-//!   for wall-clock benchmarking.
+//! * [`par`] — parallel sample sorts: a real multi-threaded one (crossbeam
+//!   scoped threads) for wall-clock benchmarking, and the modeled
+//!   lane-sharded AEM one.
 //! * [`sort`] — the unified job API: a validated [`sort::SortSpec`]
-//!   description, the [`sort::Sorter`] trait with one adapter per AEM sort,
-//!   and the [`sort::sorters`] registry. The per-algorithm free functions
-//!   are deprecated in its favor.
+//!   description and [`sort::run`], the one entry point for every AEM sort
+//!   (the three sequential sorts and the modeled parallel one).
 //!
 //! Every algorithm runs against an instrumented substrate (`asym-model`
 //! counters, `em-sim` block machine, or `cache-sim` cache) so experiments

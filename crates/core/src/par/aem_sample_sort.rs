@@ -82,25 +82,25 @@ pub fn par_samplesort_slack(m: usize, b: usize, k: usize) -> usize {
     2 * b + mergesort_slack(m, b, k).max(m.div_ceil(b))
 }
 
-/// Everything one modeled parallel sort run measured.
-pub struct ParSortRun {
-    /// The sorted records (gathered from the lanes' sorted runs, uncharged —
-    /// the distributed runs *are* the algorithm's output).
-    pub output: Vec<Record>,
-    /// Final per-lane transfer stats, in worker order.
+/// Per-lane, per-phase, and scheduler measurements of a parallel run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParData {
+    /// Final per-lane transfer stats, in worker order (warm-up included
+    /// when charged).
     pub lane_stats: Vec<EmStats>,
-    /// The lanes merged into the work aggregate ([`EmStats::merge`]).
-    pub merged: EmStats,
-    /// Per-phase parallel cost (work adds, depth maxes across lanes).
+    /// Per-phase parallel cost (work adds, depth maxes across lanes); the
+    /// `steal-warmup` phase is appended when the spec charges steals.
     pub phase_costs: Vec<(&'static str, Cost)>,
     /// Total cost: phases in sequence. `cost.depth` is the modeled span.
     pub cost: Cost,
-    /// A simulated work-stealing execution of the phase task tree on
-    /// `lanes` processors.
+    /// The simulated work-stealing execution of the phase tree.
     pub sched: StealStats,
+    /// The §2 cache warm-up charge folded into the lane stats (zero when
+    /// the spec's `steal_charge` knob is off).
+    pub steal_warmup: EmStats,
 }
 
-impl ParSortRun {
+impl ParData {
     /// Modeled parallel time lower bound `max(work/p, span)` for `p` lanes.
     pub fn greedy_lower_bound(&self, omega: u64, lanes: usize) -> u64 {
         (self.cost.work(omega) / lanes as u64).max(self.cost.depth)
@@ -153,23 +153,6 @@ impl<'a> PhaseLog<'a> {
 /// writes are additionally independent of the lane count (see the module
 /// docs). Every intermediate block is released, so a run leaves the lanes'
 /// stores exactly as it found them.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified job API: `asym_core::sort::SortSpec` + the \
-            `par-aem-samplesort` entry of `asym_core::sort::sorters()`"
-)]
-pub fn par_aem_sample_sort(
-    par: &ParMachine,
-    input: &[Record],
-    k: usize,
-    seed: u64,
-) -> Result<ParSortRun> {
-    par_sample_sort_run(par, input, k, seed, false).map(|(run, _)| run)
-}
-
-/// The parallel sample-sort engine behind both the deprecated free function
-/// and the `sort::Sorter` adapter (one code path, so the two are
-/// cost-identical by construction).
 ///
 /// When `charge_steals` is set, the §2 cache-warm-up charge is folded into
 /// the lane stats after the scheduler simulation: each successful steal
@@ -180,16 +163,21 @@ pub fn par_aem_sample_sort(
 /// `phase_costs` still compose to `cost` and `cost.{reads,writes}` still
 /// equal the merged machine counters; the scheduler simulation itself runs
 /// on the *uncharged* phase tree (the warm-up is a cache-accounting overlay
-/// on the schedule, not extra scheduled work). The second return value is
-/// the total warm-up charge (zero when disabled), so callers can recover
+/// on the schedule, not extra scheduled work). [`ParData::steal_warmup`]
+/// is the total warm-up charge (zero when disabled), so callers can recover
 /// the schedule-invariant base counts by subtraction.
+///
+/// Returns the sorted records (gathered from the lanes' sorted runs,
+/// uncharged — the distributed runs *are* the algorithm's output), the
+/// lanes merged into the work aggregate ([`EmStats::merge`]), and the
+/// per-lane detail.
 pub(crate) fn par_sample_sort_run(
     par: &ParMachine,
     input: &[Record],
     k: usize,
     seed: u64,
     charge_steals: bool,
-) -> Result<(ParSortRun, EmStats)> {
+) -> Result<(Vec<Record>, EmStats, ParData)> {
     assert!(k >= 1, "k must be at least 1");
     let cfg = par.cfg();
     let (m, b) = (cfg.m, cfg.b);
@@ -203,15 +191,15 @@ pub(crate) fn par_sample_sort_run(
     let n = input.len();
     if n == 0 {
         return Ok((
-            ParSortRun {
-                output: Vec::new(),
+            Vec::new(),
+            par.merged_stats(),
+            ParData {
                 lane_stats: par.lane_stats(),
-                merged: par.merged_stats(),
                 phase_costs: Vec::new(),
                 cost: Cost::ZERO,
                 sched: StealStats::default(),
+                steal_warmup: EmStats::default(),
             },
-            EmStats::default(),
         ));
     }
     let mut log = PhaseLog::new(par);
@@ -408,15 +396,15 @@ pub(crate) fn par_sample_sort_run(
     let cost = Cost::seq_all(phase_costs.iter().map(|(_, c)| *c));
 
     Ok((
-        ParSortRun {
-            output,
+        output,
+        par.merged_stats(),
+        ParData {
             lane_stats: par.lane_stats(),
-            merged: par.merged_stats(),
             phase_costs,
             cost,
             sched,
+            steal_warmup: warmup,
         },
-        warmup,
     ))
 }
 
@@ -434,14 +422,24 @@ mod tests {
         )
     }
 
+    /// One uncharged run: (output, merged stats, lane detail).
+    fn sort(
+        machine: &ParMachine,
+        input: &[Record],
+        k: usize,
+        seed: u64,
+    ) -> (Vec<Record>, EmStats, ParData) {
+        par_sample_sort_run(machine, input, k, seed, false).expect("sort")
+    }
+
     #[test]
     fn sorts_all_workloads_across_lane_counts() {
         for wl in Workload::ALL {
             let input = wl.generate(3000, 21);
             for lanes in [1usize, 3, 8] {
                 let machine = par(32, 4, 8, 2, lanes);
-                let run = par_aem_sample_sort(&machine, &input, 2, 42).expect("sort");
-                assert_sorted_permutation(&input, &run.output);
+                let (output, _, _) = sort(&machine, &input, 2, 42);
+                assert_sorted_permutation(&input, &output);
                 assert_eq!(machine.live_blocks(), 0, "leaked blocks ({wl:?}, {lanes})");
             }
         }
@@ -450,36 +448,26 @@ mod tests {
     #[test]
     fn merged_work_is_lane_count_invariant() {
         let input = Workload::UniformRandom.generate(5000, 3);
-        let reference = {
-            let machine = par(64, 8, 16, 2, 1);
-            par_aem_sample_sort(&machine, &input, 2, 7).expect("serial run")
-        };
+        let (ref_output, ref_merged, _) = sort(&par(64, 8, 16, 2, 1), &input, 2, 7);
         for lanes in [2usize, 4, 8] {
-            let machine = par(64, 8, 16, 2, lanes);
-            let run = par_aem_sample_sort(&machine, &input, 2, 7).expect("lane run");
+            let (output, merged, _) = sort(&par(64, 8, 16, 2, lanes), &input, 2, 7);
             assert_eq!(
-                run.merged.block_writes, reference.merged.block_writes,
+                merged.block_writes, ref_merged.block_writes,
                 "lanes={lanes}: write totals must be preserved"
             );
             assert_eq!(
-                run.merged.block_reads, reference.merged.block_reads,
+                merged.block_reads, ref_merged.block_reads,
                 "lanes={lanes}: read totals must be preserved"
             );
-            assert_eq!(run.output, reference.output);
+            assert_eq!(output, ref_output);
         }
     }
 
     #[test]
     fn span_shrinks_and_respects_brent_bounds() {
         let input = Workload::UniformRandom.generate(8000, 9);
-        let serial = {
-            let machine = par(64, 8, 8, 1, 1);
-            par_aem_sample_sort(&machine, &input, 1, 5).expect("serial")
-        };
-        let wide = {
-            let machine = par(64, 8, 8, 1, 8);
-            par_aem_sample_sort(&machine, &input, 1, 5).expect("wide")
-        };
+        let (_, _, serial) = sort(&par(64, 8, 8, 1, 1), &input, 1, 5);
+        let (_, _, wide) = sort(&par(64, 8, 8, 1, 8), &input, 1, 5);
         assert!(
             wide.cost.depth < serial.cost.depth,
             "span must shrink with lanes: {} vs {}",
@@ -496,14 +484,13 @@ mod tests {
     #[test]
     fn phase_costs_compose_to_the_total() {
         let input = Workload::Zipf.generate(2000, 13);
-        let machine = par(32, 4, 4, 1, 4);
-        let run = par_aem_sample_sort(&machine, &input, 1, 11).expect("sort");
+        let (_, merged, run) = sort(&par(32, 4, 4, 1, 4), &input, 1, 11);
         assert_eq!(run.phase_costs.len(), 5);
         let recomposed = Cost::seq_all(run.phase_costs.iter().map(|(_, c)| *c));
         assert_eq!(recomposed, run.cost);
         // Merged machine counters agree with the cost algebra's work split.
-        assert_eq!(run.cost.reads, run.merged.block_reads);
-        assert_eq!(run.cost.writes, run.merged.block_writes);
+        assert_eq!(run.cost.reads, merged.block_reads);
+        assert_eq!(run.cost.writes, merged.block_writes);
     }
 
     #[test]
@@ -512,8 +499,8 @@ mod tests {
             let input = Workload::Reversed.generate(n, 1);
             for lanes in [1usize, 4] {
                 let machine = par(16, 4, 2, 1, lanes);
-                let run = par_aem_sample_sort(&machine, &input, 1, 0).expect("sort");
-                assert_sorted_permutation(&input, &run.output);
+                let (output, _, _) = sort(&machine, &input, 1, 0);
+                assert_sorted_permutation(&input, &output);
                 assert_eq!(machine.live_blocks(), 0);
             }
         }
@@ -524,8 +511,8 @@ mod tests {
         let input = vec![Record::new(5, 5); 4000];
         for lanes in [1usize, 4] {
             let machine = par(32, 4, 8, 2, lanes);
-            let run = par_aem_sample_sort(&machine, &input, 2, 19).expect("sort");
-            assert_eq!(run.output, input);
+            let (output, _, _) = sort(&machine, &input, 2, 19);
+            assert_eq!(output, input);
             assert_eq!(machine.live_blocks(), 0);
         }
     }
@@ -533,19 +520,18 @@ mod tests {
     #[test]
     fn steal_warmup_charge_folds_into_lane_stats() {
         let input = Workload::UniformRandom.generate(6000, 17);
-        let base = {
-            let machine = par(32, 4, 8, 1, 4);
-            par_sample_sort_run(&machine, &input, 1, 23, false).expect("base")
-        };
-        let charged = {
-            let machine = par(32, 4, 8, 1, 4);
-            par_sample_sort_run(&machine, &input, 1, 23, true).expect("charged")
-        };
-        assert_eq!(base.1, EmStats::default(), "knob off charges nothing");
-        let (run, warmup) = charged;
+        let (base_output, base_merged, base) = sort(&par(32, 4, 8, 1, 4), &input, 1, 23);
+        let (output, merged, run) =
+            par_sample_sort_run(&par(32, 4, 8, 1, 4), &input, 1, 23, true).expect("charged");
+        assert_eq!(
+            base.steal_warmup,
+            EmStats::default(),
+            "knob off charges nothing"
+        );
+        let warmup = run.steal_warmup;
         // Same schedule, same output, same scheduler run.
-        assert_eq!(run.output, base.0.output);
-        assert_eq!(run.sched, base.0.sched);
+        assert_eq!(output, base_output);
+        assert_eq!(run.sched, base.sched);
         // Warm-up totals: M/B reads + M/B writes per successful steal.
         let mb = 32u64 / 4;
         assert_eq!(warmup.block_reads, run.sched.steals * mb);
@@ -554,29 +540,26 @@ mod tests {
         // Folded into the machine counters: merged = base + warm-up, and the
         // cost algebra stays consistent with the counters.
         assert_eq!(
-            run.merged.block_reads,
-            base.0.merged.block_reads + warmup.block_reads
+            merged.block_reads,
+            base_merged.block_reads + warmup.block_reads
         );
         assert_eq!(
-            run.merged.block_writes,
-            base.0.merged.block_writes + warmup.block_writes
+            merged.block_writes,
+            base_merged.block_writes + warmup.block_writes
         );
-        assert_eq!(run.cost.reads, run.merged.block_reads);
-        assert_eq!(run.cost.writes, run.merged.block_writes);
+        assert_eq!(run.cost.reads, merged.block_reads);
+        assert_eq!(run.cost.writes, merged.block_writes);
         assert_eq!(run.phase_costs.len(), 6, "steal-warmup appended as a phase");
         assert_eq!(run.phase_costs[5].0, "steal-warmup");
         // Per-lane: lane stats sum to the merged aggregate still.
-        assert_eq!(EmStats::merge_all(run.lane_stats.clone()), run.merged);
+        assert_eq!(EmStats::merge_all(run.lane_stats.clone()), merged);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let input = Workload::NearlySorted.generate(4000, 2);
-        let a = par_aem_sample_sort(&par(32, 4, 8, 1, 4), &input, 1, 23).expect("a");
-        let b = par_aem_sample_sort(&par(32, 4, 8, 1, 4), &input, 1, 23).expect("b");
-        assert_eq!(a.output, b.output);
-        assert_eq!(a.merged, b.merged);
-        assert_eq!(a.cost, b.cost);
-        assert_eq!(a.sched, b.sched);
+        let a = sort(&par(32, 4, 8, 1, 4), &input, 1, 23);
+        let b = sort(&par(32, 4, 8, 1, 4), &input, 1, 23);
+        assert_eq!(a, b);
     }
 }

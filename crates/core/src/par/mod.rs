@@ -8,7 +8,8 @@
 //! * [`par_sample_sort`] — real crossbeam threads for wall-clock
 //!   benchmarking: splitter-based bucketing with per-thread counting, a
 //!   shared prefix, and parallel per-bucket sorts.
-//! * [`par_aem_sample_sort`] — the *modeled* parallel AEM sort: the same
+//! * [`aem_sample_sort`] — the *modeled* parallel AEM sort, run as the
+//!   `par-aem-samplesort` algorithm of [`crate::sort::run`]: the same
 //!   splitter discipline run against a sharded
 //!   [`ParMachine`](em_sim::ParMachine), charging block reads and ω-cost
 //!   writes to the lane that performs them, with span from `wd-sim`'s cost
@@ -24,5 +25,5 @@ pub mod aem_sample_sort;
 pub mod sample_sort;
 pub mod splitters;
 
-pub use aem_sample_sort::{par_aem_sample_sort, par_samplesort_slack, ParSortRun};
+pub use aem_sample_sort::{par_samplesort_slack, ParData};
 pub use sample_sort::par_sample_sort;

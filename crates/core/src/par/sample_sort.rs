@@ -1,7 +1,7 @@
 //! Threaded splitter-based sample sort.
 //!
 //! This is the wall-clock executor; its modeled counterpart
-//! ([`crate::par::par_aem_sample_sort`]) runs the same splitter/partition
+//! ([`crate::par::aem_sample_sort`], run through [`crate::sort::run`]) runs the same splitter/partition
 //! discipline against per-lane `EmMachine`s and the `wd-sim` scheduler.
 //! Both reduce their sorted sample through
 //! [`super::splitters::splitters_from_sorted_sample`], so the two executors

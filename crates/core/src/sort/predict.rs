@@ -16,7 +16,7 @@
 //!   against `M + slack` (per lane), so the measured
 //!   [`EmStats::peak_memory`](em_sim::EmStats) can never exceed the
 //!   prediction. `tests/predict_bounds.rs` pins this across every
-//!   registered sorter and ω ∈ {1, 8, 32}.
+//!   algorithm and ω ∈ {1, 8, 32}.
 //! * `reads` / `writes` are **envelope bounds** from the theorem statements
 //!   (Theorem 4.3 for the mergesort, Theorem 4.5 for the sample sorts,
 //!   Theorem 4.10 for the heapsort) with the same constants the

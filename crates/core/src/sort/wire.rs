@@ -25,8 +25,8 @@
 //!
 //! [`SortSpecBuilder::build`]: super::spec::SortSpecBuilder::build
 
-use super::adapters::{ParData, SortOutcome};
 use super::spec::{Algorithm, SortSpec, SpecError};
+use super::{ParData, SortOutcome};
 use asym_model::json::{self, Json, JsonArr, JsonObj};
 use asym_model::Record;
 use em_sim::{Backend, EmStats, FaultSpec};

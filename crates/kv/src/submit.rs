@@ -24,8 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where compaction jobs run.
 pub enum CompactionService {
-    /// An embedded [`SortService`] owned by the engine.
-    Local(SortService),
+    /// An embedded [`SortService`] owned by the engine, and the temp dir
+    /// holding its audit log (removed on drop: the engine never recovers
+    /// from it).
+    Local(SortService, PathBuf),
     /// A remote HTTP front door ([`asym_serve::serve`]).
     Http(SocketAddr),
 }
@@ -46,9 +48,9 @@ impl CompactionService {
     /// totals are reproducible run to run.
     pub fn in_process(budget_bytes: u64) -> Result<CompactionService, KvError> {
         let dir = service_dir()?;
-        let service = SortService::start(ServiceConfig::new(1, budget_bytes, dir))
+        let service = SortService::start(ServiceConfig::new(1, budget_bytes, dir.clone()))
             .map_err(|e| KvError::Service(format!("start service: {e}")))?;
-        Ok(CompactionService::Local(service))
+        Ok(CompactionService::Local(service, dir))
     }
 
     /// Point compactions at a running sort server.
@@ -59,7 +61,7 @@ impl CompactionService {
     /// Stable transport name (for tables and logs).
     pub fn name(&self) -> &'static str {
         match self {
-            CompactionService::Local(_) => "in-process",
+            CompactionService::Local(..) => "in-process",
             CompactionService::Http(_) => "http",
         }
     }
@@ -68,7 +70,7 @@ impl CompactionService {
     /// the decoded outcome; every other terminal state is an error.
     pub fn submit_and_wait(&self, request: JobRequest) -> Result<JobResult, KvError> {
         match self {
-            CompactionService::Local(service) => {
+            CompactionService::Local(service, _) => {
                 let id = service.submit(request).map_err(submit_error)?;
                 let status = service
                     .wait(id)
@@ -83,8 +85,9 @@ impl CompactionService {
 
 impl Drop for CompactionService {
     fn drop(&mut self) {
-        if let CompactionService::Local(service) = self {
+        if let CompactionService::Local(service, dir) = self {
             service.drain();
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }

@@ -37,7 +37,7 @@
 //! use asym_serve::{JobRequest, ServiceConfig, SortService};
 //!
 //! let dir = std::env::temp_dir().join("asym-serve-doc");
-//! let service = SortService::start(ServiceConfig::new(2, 1 << 20, dir)).expect("start");
+//! let service = SortService::start(ServiceConfig::new(2, 1 << 20, dir.clone())).expect("start");
 //! let id = service
 //!     .submit(JobRequest {
 //!         spec: SortSpec::builder(Algorithm::Mergesort, 64, 8, 16).build().unwrap(),
@@ -53,6 +53,8 @@
 //! let done = service.wait(id).expect("known job");
 //! assert_eq!(done.state, asym_serve::JobState::Completed);
 //! service.drain();
+//! drop(service);
+//! std::fs::remove_dir_all(&dir).expect("remove the doc's service dir");
 //! ```
 //!
 //! [`SortSpec::predict`]: asym_core::sort::SortSpec::predict

@@ -147,6 +147,10 @@ fn wait_long_polls_with_a_bounded_server_side_timeout() {
     let (code, _) = request(addr, "GET", "/jobs/4096/wait", "");
     assert_eq!(code, 404);
 
+    // Hold the worker so both jobs stay queued until the long-poll loop:
+    // pickup is ETA-priority, so without the hold the worker may start the
+    // cheaper SMALL_JOB first and finish it before the short wait below.
+    server.service().hold();
     let (_, body) = request(addr, "POST", "/jobs", BUSY_JOB);
     let busy = Json::parse(&body)
         .unwrap()
@@ -160,8 +164,8 @@ fn wait_long_polls_with_a_bounded_server_side_timeout() {
         .and_then(Json::as_u64)
         .unwrap();
 
-    // The queued job sits behind the busy one on the single worker, so a
-    // short wait must come back 408 carrying the *current* snapshot.
+    // The service is held, so the queued job cannot have run: a short wait
+    // must come back 408 carrying the *current* snapshot.
     let (code, body) = request(
         addr,
         "GET",
@@ -179,6 +183,7 @@ fn wait_long_polls_with_a_bounded_server_side_timeout() {
     );
 
     // A long enough wait rides the long-poll to 200 completed.
+    server.service().release();
     for id in [busy, queued] {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
         loop {
@@ -209,10 +214,13 @@ fn queued_jobs_past_their_deadline_expire_into_504() {
     let mut server = serve(service, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
+    // Hold the worker: pickup is ETA-priority, so an idle worker could
+    // otherwise take the cheaper dated job inside its deadline.
+    server.service().hold();
     let (code, _) = request(addr, "POST", "/jobs", BUSY_JOB);
     assert_eq!(code, 202);
-    // One millisecond of deadline against a worker held busy for much
-    // longer: the job must expire in the queue, never having run.
+    // One millisecond of deadline on a held queue: the job must expire in
+    // the queue, never having run.
     let dated = SMALL_JOB.replace("\"data_seed\": 11", "\"data_seed\": 11, \"deadline_ms\": 1");
     let (code, body) = request(addr, "POST", "/jobs", &dated);
     assert_eq!(code, 202, "{body}");

@@ -2,14 +2,32 @@
 //! the AEM algorithms against the paper's closed-form bounds, on a grid of
 //! machine shapes.
 
-use asym_core::em::{
-    aem_heapsort, aem_mergesort, aem_samplesort, mergesort_slack, pq::pq_slack, samplesort_slack,
-    selection_sort,
-};
+use asym_core::em::selection_sort;
+use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::stats::ceil_log_base;
 use asym_model::workload::Workload;
-use em_sim::{EmConfig, EmMachine, EmVec};
-use rand::SeedableRng;
+use asym_model::Record;
+use em_sim::{EmConfig, EmMachine, EmStats, EmVec};
+
+/// Sort `input` through `sort::run` on an `(m, b, omega)` machine at
+/// write-saving factor `k` with the algorithm's default slack; return the
+/// modeled transfer stats.
+fn sort_stats(
+    algorithm: Algorithm,
+    (m, b, omega): (usize, usize, u64),
+    k: usize,
+    seed: u64,
+    input: &[Record],
+) -> EmStats {
+    let spec = SortSpec::builder(algorithm, m, b, omega)
+        .k(k)
+        .seed(seed)
+        .build()
+        .expect("valid spec");
+    let outcome = sort::run(&spec, input).expect("sort");
+    assert_eq!(outcome.output.len(), input.len());
+    outcome.stats
+}
 
 #[test]
 fn lemma_4_2_exact_bounds_across_grid() {
@@ -46,13 +64,8 @@ fn theorem_4_3_bounds_across_grid() {
         (64, 8, 6, 6000),
         (128, 16, 3, 10000),
     ] {
-        let em = EmMachine::new(EmConfig::new(m, b, 8).with_slack(mergesort_slack(m, b, k)));
         let input = Workload::UniformRandom.generate(n, 4);
-        let v = EmVec::stage(&em, &input);
-        em.reset_stats();
-        let sorted = aem_mergesort(&em, v, k).expect("sort");
-        assert_eq!(sorted.len(), n);
-        let s = em.stats();
+        let s = sort_stats(Algorithm::Mergesort, (m, b, 8), k, 0, &input);
         let blocks = n.div_ceil(b) as u64;
         let levels = ceil_log_base((k * m) as f64 / b as f64, blocks as f64);
         assert!(
@@ -81,14 +94,8 @@ fn mergesort_write_envelope_across_omega_grid() {
         let mut last_writes = u64::MAX;
         for omega in [1u64, 2, 8, 32] {
             let k = omega as usize;
-            let em =
-                EmMachine::new(EmConfig::new(m, b, omega).with_slack(mergesort_slack(m, b, k)));
             let input = Workload::UniformRandom.generate(n, 4);
-            let v = EmVec::stage(&em, &input);
-            em.reset_stats();
-            let sorted = aem_mergesort(&em, v, k).expect("sort");
-            assert_eq!(sorted.len(), n);
-            let s = em.stats();
+            let s = sort_stats(Algorithm::Mergesort, (m, b, omega), k, 0, &input);
             let blocks = n.div_ceil(b) as u64;
             let levels = ceil_log_base((omega as usize * m) as f64 / b as f64, blocks as f64);
             assert!(
@@ -110,26 +117,19 @@ fn mergesort_write_envelope_across_omega_grid() {
                 "(m={m},b={b},omega={omega}): writes must be non-increasing in ω"
             );
             last_writes = s.block_writes;
-            sorted.free(&em);
         }
     }
 }
 
 #[test]
 fn theorem_4_5_write_shape_across_grid() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     for (m, b, k, n) in [
         (32usize, 4usize, 1usize, 4000usize),
         (32, 4, 4, 4000),
         (64, 8, 2, 8000),
     ] {
-        let em = EmMachine::new(EmConfig::new(m, b, 8).with_slack(samplesort_slack(m, b, k)));
         let input = Workload::UniformRandom.generate(n, 6);
-        let v = EmVec::stage(&em, &input);
-        em.reset_stats();
-        let sorted = aem_samplesort(&em, v, k, &mut rng).expect("sort");
-        assert_eq!(sorted.len(), n);
-        let s = em.stats();
+        let s = sort_stats(Algorithm::Samplesort, (m, b, 8), k, 5, &input);
         let blocks = n.div_ceil(b) as u64;
         let levels = ceil_log_base((k * m) as f64 / b as f64, blocks as f64);
         assert!(
@@ -151,14 +151,9 @@ fn theorem_4_5_write_shape_across_grid() {
 fn theorem_4_10_amortized_pq_costs() {
     let (m, b) = (32usize, 4usize);
     for k in [1usize, 2, 4] {
-        let em = EmMachine::new(EmConfig::new(m, b, 8).with_slack(pq_slack(m, b, k)));
         let n = 4000usize;
         let input = Workload::UniformRandom.generate(n, 8);
-        let v = EmVec::stage(&em, &input);
-        em.reset_stats();
-        let sorted = aem_heapsort(&em, v, k).expect("sort");
-        assert_eq!(sorted.len(), n);
-        let s = em.stats();
+        let s = sort_stats(Algorithm::Heapsort, (m, b, 8), k, 0, &input);
         let ops = (2 * n) as f64;
         let levels = 1.0 + (n as f64).ln() / (((k * m) as f64 / b as f64).ln());
         let reads_per_op = s.block_reads as f64 / ops;
@@ -184,12 +179,8 @@ fn corollary_4_4_improvement_region() {
     let (m, b, omega, n) = (64usize, 8usize, 16u64, 20_000usize);
     let input = Workload::UniformRandom.generate(n, 10);
     let cost = |k: usize| {
-        let em = EmMachine::new(EmConfig::new(m, b, omega).with_slack(mergesort_slack(m, b, k)));
-        let v = EmVec::stage(&em, &input);
-        em.reset_stats();
-        let sorted = aem_mergesort(&em, v, k).expect("sort");
-        sorted.free(&em);
-        em.io_cost()
+        let s = sort_stats(Algorithm::Mergesort, (m, b, omega), k, 0, &input);
+        s.block_reads + omega * s.block_writes
     };
     let classic = cost(1);
     let threshold = omega as f64 / ((m / b) as f64).log2();
@@ -215,12 +206,7 @@ fn writes_decrease_monotonically_in_level_count() {
     let input = Workload::UniformRandom.generate(n, 11);
     let mut last = u64::MAX;
     for k in [1usize, 2, 4, 8] {
-        let em = EmMachine::new(EmConfig::new(m, b, 8).with_slack(mergesort_slack(m, b, k)));
-        let v = EmVec::stage(&em, &input);
-        em.reset_stats();
-        let sorted = aem_mergesort(&em, v, k).expect("sort");
-        sorted.free(&em);
-        let w = em.stats().block_writes;
+        let w = sort_stats(Algorithm::Mergesort, (m, b, 8), k, 0, &input).block_writes;
         assert!(
             w <= last,
             "writes must not increase with k: {w} after {last}"

@@ -5,43 +5,33 @@
 //! performance work (arena storage, buffer reuse, the flat merge queue) must
 //! never change them. The golden triples below were captured from the seed
 //! implementation (clone-per-I/O disk, BTreeMap merge queue); any drift is a
-//! model regression, not a tuning knob.
+//! model regression, not a tuning knob. Every job runs through the one
+//! entry point, `asym_core::sort::run`, on the spec's default slack.
 
-use asym_core::em::mergesort::mergesort_slack;
-use asym_core::em::pq::pq_slack;
-use asym_core::em::samplesort::samplesort_slack;
-use asym_core::em::{aem_heapsort, aem_mergesort, aem_samplesort};
+use asym_core::sort::{self, Algorithm, SortSpec, SortSpecBuilder};
 use asym_model::workload::Workload;
-use em_sim::{EmConfig, EmMachine, EmVec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// One golden measurement: (block_reads, block_writes, peak_memory).
 type Golden = (u64, u64, usize);
 
-fn measure_wl(
-    em: &EmMachine,
-    sort: impl FnOnce(&EmMachine, EmVec) -> EmVec,
-    wl: Workload,
-    n: usize,
-) -> Golden {
+/// Run one job through `sort::run` on `wl`'s input (data seed 0x601D) and
+/// return its modeled counts.
+fn measure(spec: SortSpecBuilder, wl: Workload, n: usize) -> Golden {
+    let spec = spec.build().expect("valid spec");
     let input = wl.generate(n, 0x60_1D);
-    let v = EmVec::stage(em, &input);
-    em.reset_stats();
-    let sorted = sort(em, v);
-    assert_eq!(sorted.len(), n);
-    let s = em.stats();
+    let outcome = sort::run(&spec, &input).expect("sort");
+    assert_eq!(outcome.output.len(), n);
+    let s = outcome.stats;
     (s.block_reads, s.block_writes, s.peak_memory)
 }
 
+/// An (M, B, ω = 8) job at write-saving factor `k`.
+fn spec(algorithm: Algorithm, m: usize, b: usize, k: usize) -> SortSpecBuilder {
+    SortSpec::builder(algorithm, m, b, 8).k(k)
+}
+
 fn mergesort_golden_wl(m: usize, b: usize, k: usize, wl: Workload, n: usize) -> Golden {
-    let em = EmMachine::new(EmConfig::new(m, b, 8).with_slack(mergesort_slack(m, b, k)));
-    measure_wl(
-        &em,
-        |em, v| aem_mergesort(em, v, k).expect("mergesort"),
-        wl,
-        n,
-    )
+    measure(spec(Algorithm::Mergesort, m, b, k), wl, n)
 }
 
 fn mergesort_golden(m: usize, b: usize, k: usize, n: usize) -> Golden {
@@ -49,16 +39,8 @@ fn mergesort_golden(m: usize, b: usize, k: usize, n: usize) -> Golden {
 }
 
 fn samplesort_golden_wl(m: usize, b: usize, k: usize, wl: Workload, n: usize) -> Golden {
-    let em = EmMachine::new(EmConfig::new(m, b, 8).with_slack(samplesort_slack(m, b, k)));
-    measure_wl(
-        &em,
-        |em, v| {
-            let mut rng = StdRng::seed_from_u64(0xE5);
-            aem_samplesort(em, v, k, &mut rng).expect("samplesort")
-        },
-        wl,
-        n,
-    )
+    // The spec's seed drives the splitter sampling.
+    measure(spec(Algorithm::Samplesort, m, b, k).seed(0xE5), wl, n)
 }
 
 fn samplesort_golden(m: usize, b: usize, k: usize, n: usize) -> Golden {
@@ -66,17 +48,18 @@ fn samplesort_golden(m: usize, b: usize, k: usize, n: usize) -> Golden {
 }
 
 fn heapsort_golden_wl(m: usize, b: usize, k: usize, wl: Workload, n: usize) -> Golden {
-    let em = EmMachine::new(EmConfig::new(m, b, 8).with_slack(pq_slack(m, b, k)));
-    measure_wl(
-        &em,
-        |em, v| aem_heapsort(em, v, k).expect("heapsort"),
-        wl,
-        n,
-    )
+    measure(spec(Algorithm::Heapsort, m, b, k), wl, n)
 }
 
 fn heapsort_golden(m: usize, b: usize, k: usize, n: usize) -> Golden {
     heapsort_golden_wl(m, b, k, Workload::UniformRandom, n)
+}
+
+fn par_samplesort_golden(m: usize, b: usize, k: usize, lanes: usize, n: usize) -> Golden {
+    let spec = spec(Algorithm::ParSamplesort, m, b, k)
+        .lanes(lanes)
+        .seed(0xE13);
+    measure(spec, Workload::UniformRandom, n)
 }
 
 #[test]
@@ -137,5 +120,27 @@ fn duplicate_input_costs_are_frozen() {
         heapsort_golden_wl(16, 2, 2, DuplicateHeavy, 800),
         (6638, 4493, 24),
         "E6 k=2 duplicate-heavy"
+    );
+}
+
+#[test]
+fn par_samplesort_costs_are_frozen() {
+    // (M, B, ω) = (32, 4, 8), k = 2, n = 600, sampling seed 0xE13. Merged
+    // reads and writes are lane-count invariant; peak memory is summed over
+    // the lanes' machines, so it grows with the lane count.
+    assert_eq!(
+        par_samplesort_golden(32, 4, 2, 1, 600),
+        (987, 602, 51),
+        "l=1"
+    );
+    assert_eq!(
+        par_samplesort_golden(32, 4, 2, 2, 600),
+        (987, 602, 102),
+        "l=2"
+    );
+    assert_eq!(
+        par_samplesort_golden(32, 4, 2, 4, 600),
+        (987, 602, 202),
+        "l=4"
     );
 }

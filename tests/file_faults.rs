@@ -82,7 +82,8 @@ fn interrupted_writes_propagate_and_preserve_contents() {
 
 #[test]
 fn algorithms_survive_a_transient_fault_without_slot_corruption() {
-    use asym_core::em::{aem_mergesort, mergesort_slack};
+    use asym_core::em::mergesort::{aem_mergesort_opts, MergeOpts};
+    use asym_core::em::mergesort_slack;
     use asym_model::workload::Workload;
 
     let (m, b, k) = (32usize, 4usize, 2usize);
@@ -95,7 +96,7 @@ fn algorithms_survive_a_transient_fault_without_slot_corruption() {
     // the fault inside the top-level merge (the run performs 634 reads in
     // total), whose transfers propagate `Result`s all the way out.
     plan.arm_reads_after(600, 1);
-    let err = aem_mergesort(&em, v, k).unwrap_err();
+    let err = aem_mergesort_opts(&em, v, k, MergeOpts::default()).unwrap_err();
     assert!(matches!(err, ModelError::Io(_)), "got {err:?}");
 
     // ...yet the store is not corrupted: accounting still balances (the
@@ -104,7 +105,7 @@ fn algorithms_survive_a_transient_fault_without_slot_corruption() {
     let live_after_fault = em.live_blocks();
     assert!(live_after_fault > 0);
     let v2 = EmVec::stage(&em, &input);
-    let sorted = aem_mergesort(&em, v2, k).expect("clean retry");
+    let sorted = aem_mergesort_opts(&em, v2, k, MergeOpts::default()).expect("clean retry");
     let mut expect = input.clone();
     expect.sort();
     assert_eq!(sorted.read_all_uncharged(&em), expect);

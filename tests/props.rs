@@ -1,10 +1,11 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants, across crates.
 
+use asym_core::em::mergesort_slack;
 use asym_core::em::pq::{pq_slack, AemPriorityQueue};
-use asym_core::em::{aem_mergesort, mergesort_slack};
 use asym_core::pram::prefix_sums;
 use asym_core::ram::rbtree::RbTree;
+use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::{MemCounter, Record};
 use cache_sim::{simulate_min, CacheConfig, MinVariant, PolicyChoice, SimArray, Tracker};
 use em_sim::{EmConfig, EmMachine, EmVec};
@@ -48,11 +49,8 @@ proptest! {
 
     #[test]
     fn aem_mergesort_sorts_arbitrary_records(input in record_vec(600), k in 1usize..4) {
-        let (m, b) = (16usize, 4usize);
-        let em = EmMachine::new(EmConfig::new(m, b, 4).with_slack(mergesort_slack(m, b, k)));
-        let v = EmVec::stage(&em, &input);
-        let sorted = aem_mergesort(&em, v, k).expect("sort");
-        let out = sorted.read_all_uncharged(&em);
+        let spec = SortSpec::builder(Algorithm::Mergesort, 16, 4, 4).k(k).build().expect("spec");
+        let out = sort::run(&spec, &input).expect("sort").output;
         let mut expect = input.clone();
         expect.sort();
         prop_assert_eq!(out, expect);

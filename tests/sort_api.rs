@@ -1,121 +1,21 @@
 //! The unified sort API, end to end:
 //!
-//! * a registry-driven differential suite proving every `Sorter` adapter
-//!   byte-identical — output *and* modeled `(reads, writes, peak_memory)` —
-//!   to the legacy free-function entry points it replaces (the redesign
-//!   must be provably cost-neutral; `tests/cost_golden.rs` separately
-//!   freezes the absolute counts through the legacy names);
 //! * `SortSpec` validation: every invalid combination is a typed
 //!   `SpecError` (and backend faults a typed `ModelError`), never a panic;
 //! * the §2 steal-charging knob: off by default (cost-neutral), folded into
 //!   lane stats when enabled.
 //!
-//! The `ASYM_BENCH_*` absorption of `SortSpecBuilder::from_env` lives in
-//! its own binary (`tests/sort_env.rs`) because it mutates the process
-//! environment.
+//! The absolute modeled counts of every algorithm through `sort::run` are
+//! frozen in `tests/cost_golden.rs`. The `ASYM_BENCH_*` absorption of
+//! `SortSpecBuilder::from_env` lives in its own binary
+//! (`tests/sort_env.rs`) because it mutates the process environment.
 
-// The point of this suite is to compare against the deprecated entry points.
-#![allow(deprecated)]
-
-use asym_core::em::pq::pq_slack;
-use asym_core::em::{
-    aem_heapsort, aem_mergesort, aem_samplesort, mergesort_slack, samplesort_slack,
-};
-use asym_core::par::{par_aem_sample_sort, par_samplesort_slack};
-use asym_core::sort::{self, sorter_for, sorters, Algorithm, SortSpec, SpecError};
+use asym_core::sort::{self, Algorithm, SortSpec, SpecError};
 use asym_model::workload::Workload;
-use asym_model::{ModelError, Record};
-use em_sim::{Backend, EmConfig, EmMachine, EmStats, EmVec, ParMachine};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use asym_model::ModelError;
+use em_sim::{Backend, EmStats};
 
 const OMEGA: u64 = 8;
-const SEED: u64 = 0xD1FF;
-
-/// Run one legacy free function at the given geometry, returning what the
-/// unified API would call the outcome: (output, merged stats).
-fn legacy_run(
-    algorithm: Algorithm,
-    m: usize,
-    b: usize,
-    k: usize,
-    lanes: usize,
-    input: &[Record],
-) -> (Vec<Record>, EmStats) {
-    match algorithm {
-        Algorithm::Mergesort => {
-            let cfg = EmConfig::new(m, b, OMEGA).with_slack(mergesort_slack(m, b, k));
-            let em = EmMachine::new(cfg);
-            let v = EmVec::stage(&em, input);
-            let sorted = aem_mergesort(&em, v, k).expect("legacy mergesort");
-            let out = sorted.read_all_uncharged(&em);
-            (out, em.stats())
-        }
-        Algorithm::Samplesort => {
-            let cfg = EmConfig::new(m, b, OMEGA).with_slack(samplesort_slack(m, b, k));
-            let em = EmMachine::new(cfg);
-            let v = EmVec::stage(&em, input);
-            let mut rng = StdRng::seed_from_u64(SEED);
-            let sorted = aem_samplesort(&em, v, k, &mut rng).expect("legacy samplesort");
-            let out = sorted.read_all_uncharged(&em);
-            (out, em.stats())
-        }
-        Algorithm::Heapsort => {
-            let cfg = EmConfig::new(m, b, OMEGA).with_slack(pq_slack(m, b, k));
-            let em = EmMachine::new(cfg);
-            let v = EmVec::stage(&em, input);
-            let sorted = aem_heapsort(&em, v, k).expect("legacy heapsort");
-            let out = sorted.read_all_uncharged(&em);
-            (out, em.stats())
-        }
-        Algorithm::ParSamplesort => {
-            let cfg = EmConfig::new(m, b, OMEGA).with_slack(par_samplesort_slack(m, b, k));
-            let par = ParMachine::new(cfg, lanes);
-            let run = par_aem_sample_sort(&par, input, k, SEED).expect("legacy par sort");
-            (run.output, run.merged)
-        }
-    }
-}
-
-/// The registry spec matching `legacy_run`'s machine construction.
-fn spec(algorithm: Algorithm, m: usize, b: usize, k: usize, lanes: usize) -> SortSpec {
-    SortSpec::builder(algorithm, m, b, OMEGA)
-        .k(k)
-        .lanes(lanes)
-        .seed(SEED)
-        .build()
-        .expect("valid spec")
-}
-
-#[test]
-fn registry_is_byte_identical_to_the_legacy_entry_points() {
-    // Every algorithm × two write-saving factors × three workloads: the
-    // adapter and the free function must agree on output bytes and on every
-    // modeled count — the redesign is provably cost-neutral.
-    for sorter in sorters() {
-        let algorithm = sorter.kind();
-        let (m, b, lanes) = match algorithm {
-            Algorithm::Heapsort => (16usize, 2usize, 1usize),
-            Algorithm::ParSamplesort => (32, 4, 4),
-            _ => (32, 4, 1),
-        };
-        for k in [1usize, 2] {
-            for wl in [Workload::UniformRandom, Workload::Zipf, Workload::Sorted] {
-                let input = wl.generate(700, 0x60_1D);
-                let (legacy_out, legacy_stats) = legacy_run(algorithm, m, b, k, lanes, &input);
-                let outcome = sorter
-                    .run(&spec(algorithm, m, b, k, lanes), &input)
-                    .expect("registry run");
-                let label = format!("{} k={k} {wl:?}", sorter.name());
-                assert_eq!(outcome.output, legacy_out, "{label}: output drifted");
-                assert_eq!(
-                    outcome.stats, legacy_stats,
-                    "{label}: modeled costs drifted — the redesign must be cost-neutral"
-                );
-            }
-        }
-    }
-}
 
 #[test]
 fn spec_validation_yields_typed_errors_never_panics() {
@@ -209,9 +109,8 @@ fn steal_charge_knob_is_off_by_default_and_folds_when_on() {
         .build()
         .expect("valid spec");
 
-    let sorter = sorter_for(Algorithm::ParSamplesort);
-    let base = sorter.run(&base_spec, &input).expect("base");
-    let charged = sorter.run(&charged_spec, &input).expect("charged");
+    let base = sort::run(&base_spec, &input).expect("base");
+    let charged = sort::run(&charged_spec, &input).expect("charged");
 
     // Identical schedule and output; the charge is an accounting overlay.
     assert_eq!(base.output, charged.output);
@@ -239,15 +138,4 @@ fn steal_charge_knob_is_off_by_default_and_folds_when_on() {
     // The cost algebra stays consistent with the charged counters.
     assert_eq!(charged_par.cost.reads, charged.stats.block_reads);
     assert_eq!(charged_par.cost.writes, charged.stats.block_writes);
-}
-
-#[test]
-fn mismatched_spec_and_sorter_is_a_typed_error() {
-    let spec = spec(Algorithm::Mergesort, 32, 4, 1, 1);
-    let err = sorter_for(Algorithm::Samplesort)
-        .run(&spec, &[])
-        .unwrap_err();
-    assert!(matches!(err, ModelError::Invariant(_)));
-    // Dispatching through sort::run always picks the matching adapter.
-    assert!(sort::run(&spec, &[]).is_ok());
 }
