@@ -232,11 +232,7 @@ impl CheckpointManifest {
         o.raw("stats", &s.finish());
         let mut runs = JsonArr::new();
         for run in &self.runs {
-            let mut arr = JsonArr::new();
-            for r in run {
-                arr.raw(&format!("[{}, {}]", r.key, r.payload));
-            }
-            runs.raw(&arr.finish());
+            runs.raw(&json::records_json(run));
         }
         o.raw("runs", &runs.finish());
         o.finish()
@@ -246,8 +242,13 @@ impl CheckpointManifest {
     /// [`WireError::Malformed`] naming it — a future manifest must not be
     /// half-read as an empty one.
     pub fn from_json(text: &str) -> std::result::Result<CheckpointManifest, WireError> {
+        Self::from_json_value(&Json::parse(text).map_err(WireError::Malformed)?)
+    }
+
+    /// [`from_json`](Self::from_json) over an already-parsed value (a
+    /// manifest embedded in an audit line).
+    pub fn from_json_value(v: &Json) -> std::result::Result<CheckpointManifest, WireError> {
         let bad = |m: String| WireError::Malformed(m);
-        let v = Json::parse(text).map_err(bad)?;
         let obj = v
             .as_obj()
             .ok_or_else(|| bad("manifest must be a JSON object".into()))?;
@@ -270,27 +271,10 @@ impl CheckpointManifest {
         let runs_v = json::find(obj, "runs")
             .and_then(Json::as_arr)
             .ok_or_else(|| bad("manifest missing \"runs\" array".into()))?;
-        let mut runs = Vec::with_capacity(runs_v.len());
-        for run in runs_v {
-            let items = run
-                .as_arr()
-                .ok_or_else(|| bad("manifest runs must be arrays".into()))?;
-            let mut records = Vec::with_capacity(items.len());
-            for item in items {
-                let pair = item
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| bad("run records are [key, payload] pairs".into()))?;
-                let key = pair[0]
-                    .as_u64()
-                    .ok_or_else(|| bad("record key must be a u64".into()))?;
-                let payload = pair[1]
-                    .as_u64()
-                    .ok_or_else(|| bad("record payload must be a u64".into()))?;
-                records.push(Record::new(key, payload));
-            }
-            runs.push(records);
-        }
+        let runs = runs_v
+            .iter()
+            .map(|run| json::parse_records(run).map_err(|e| bad(format!("manifest run: {e}"))))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
         Ok(CheckpointManifest {
             version,
             digest: req("digest")?,

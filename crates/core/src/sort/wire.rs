@@ -28,7 +28,6 @@
 use super::spec::{Algorithm, SortSpec, SpecError};
 use super::{ParData, SortOutcome};
 use asym_model::json::{self, Json, JsonArr, JsonObj};
-use asym_model::Record;
 use em_sim::{Backend, EmStats, FaultSpec};
 use wd_sim::{Cost, StealStats};
 
@@ -288,19 +287,22 @@ impl SortOutcome {
     /// themselves as `[key, payload]` pairs (telemetry consumers usually
     /// want counts, not payload bytes).
     pub fn to_json(&self, include_output: bool) -> String {
+        self.to_json_with_len(self.output.len(), include_output)
+    }
+
+    /// [`to_json`](Self::to_json) with `output_len` rendered as given, for
+    /// a holder that dropped the records after the run (a stats-only job
+    /// keeps only its stats, and its record count).
+    pub fn to_json_with_len(&self, output_len: usize, include_output: bool) -> String {
         let mut o = JsonObj::new();
         o.u64("reads", self.stats.block_reads)
             .u64("writes", self.stats.block_writes)
             .u64("peak_memory", self.stats.peak_memory as u64)
             .u64("omega", self.report.omega)
             .u64("io_cost", self.io_cost())
-            .u64("output_len", self.output.len() as u64);
+            .u64("output_len", output_len as u64);
         if include_output {
-            let mut arr = JsonArr::new();
-            for r in &self.output {
-                arr.raw(&format!("[{}, {}]", r.key, r.payload));
-            }
-            o.raw("output", &arr.finish());
+            o.raw("output", &json::records_json(&self.output));
         }
         if let Some(par) = &self.parallel {
             let mut p = JsonObj::new();
@@ -335,7 +337,12 @@ impl SortOutcome {
     /// field (telemetry without payload) decodes as an empty output vector;
     /// `output_len` is informative only.
     pub fn from_json(text: &str) -> Result<SortOutcome, WireError> {
-        let v = Json::parse(text).map_err(WireError::Malformed)?;
+        Self::from_json_value(&Json::parse(text).map_err(WireError::Malformed)?)
+    }
+
+    /// [`from_json`](Self::from_json) over an already-parsed value (an
+    /// outcome embedded in a larger document).
+    pub fn from_json_value(v: &Json) -> Result<SortOutcome, WireError> {
         let obj = v
             .as_obj()
             .ok_or_else(|| malformed("outcome must be a JSON object"))?;
@@ -345,25 +352,12 @@ impl SortOutcome {
             peak_memory: req_u64(obj, "peak_memory")? as usize,
         };
         let omega = req_u64(obj, "omega")?;
-        let mut output = Vec::new();
-        if let Some(arr) = json::find(obj, "output") {
-            let items = arr
-                .as_arr()
-                .ok_or_else(|| malformed("\"output\" must be an array"))?;
-            for item in items {
-                let pair = item
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| malformed("output records are [key, payload] pairs"))?;
-                let key = pair[0]
-                    .as_u64()
-                    .ok_or_else(|| malformed("record key must be a u64"))?;
-                let payload = pair[1]
-                    .as_u64()
-                    .ok_or_else(|| malformed("record payload must be a u64"))?;
-                output.push(Record::new(key, payload));
+        let output = match json::find(obj, "output") {
+            Some(arr) => {
+                json::parse_records(arr).map_err(|e| malformed(format!("\"output\": {e}")))?
             }
-        }
+            None => Vec::new(),
+        };
         let parallel = match json::find(obj, "parallel") {
             None => None,
             Some(p) => {

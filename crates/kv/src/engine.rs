@@ -75,10 +75,14 @@ pub struct KvConfig {
     pub sort_k: Option<usize>,
     /// Route compactions through the service's checkpointed (staged)
     /// execution path: every completed phase lands in the WAL as a
-    /// resumable manifest, so a crashed compaction never re-pays its
-    /// ω-weighted writes. Off by default — the staged path's modeled
-    /// costs include the per-phase envelope, so benchmarks pinning exact
-    /// counts should leave this off.
+    /// resumable manifest. A crashed compaction resumes instead of
+    /// re-paying its ω-weighted writes only over the HTTP transport
+    /// ([`CompactionService::http`]) to a server restarted with
+    /// `SortService::recover`: the embedded service's WAL is deleted when
+    /// the engine drops and is never replayed. Within one engine's life,
+    /// a retried attempt still resumes from its latest manifest. Off by
+    /// default — the staged path's modeled costs include the per-phase
+    /// envelope, so benchmarks pinning exact counts should leave this off.
     pub checkpoint_compactions: bool,
 }
 

@@ -11,16 +11,20 @@
 //!
 //! Either way every compaction is priced by `JobRequest::predict()` at
 //! admission; a budget rejection surfaces as
-//! [`KvError::CompactionRejected`] with both sides of the comparison.
+//! [`KvError::CompactionRejected`] with both sides of the comparison, and
+//! every other refusal as the same [`KvError::Service`] on both
+//! transports. The in-process transport hands the service's typed outcome
+//! straight to the engine; only the HTTP client decodes JSON.
 
 use crate::KvError;
 use asym_core::sort::SortOutcome;
-use asym_model::json::{self, Json};
-use asym_serve::{JobId, JobRequest, JobState, JobStatus, ServiceConfig, SortService, SubmitError};
-use std::io::{BufRead, BufReader, Read, Write};
+use asym_model::json::Json;
+use asym_serve::{JobId, JobRequest, JobState, ServiceConfig, SortService, SubmitError};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Where compaction jobs run.
 pub enum CompactionService {
@@ -32,12 +36,12 @@ pub enum CompactionService {
     Http(SocketAddr),
 }
 
-/// One finished compaction job: its id and decoded outcome.
+/// One finished compaction job: its id and outcome.
 pub struct JobResult {
     /// The service-assigned job id.
     pub id: JobId,
     /// The sorted output plus the job's measured `EmStats`.
-    pub outcome: SortOutcome,
+    pub outcome: Arc<SortOutcome>,
 }
 
 static SERVICE_DIRS: AtomicU64 = AtomicU64::new(0);
@@ -67,7 +71,7 @@ impl CompactionService {
     }
 
     /// Submit one job and block until it is terminal. `Completed` yields
-    /// the decoded outcome; every other terminal state is an error.
+    /// the outcome; every other terminal state is an error.
     pub fn submit_and_wait(&self, request: JobRequest) -> Result<JobResult, KvError> {
         match self {
             CompactionService::Local(service, _) => {
@@ -75,8 +79,10 @@ impl CompactionService {
                 let status = service
                     .wait(id)
                     .ok_or_else(|| KvError::Service(format!("job {id} vanished")))?;
-                let outcome = terminal_outcome(&status)?;
-                Ok(JobResult { id, outcome })
+                match (status.state, status.outcome) {
+                    (JobState::Completed, Some(outcome)) => Ok(JobResult { id, outcome }),
+                    (state, _) => Err(job_ended(id, state.name(), status.error.as_deref())),
+                }
             }
             CompactionService::Http(addr) => http_submit_and_wait(*addr, &request),
         }
@@ -117,24 +123,12 @@ fn submit_error(e: SubmitError) -> KvError {
     }
 }
 
-/// Decode the sorted payload out of a terminal [`JobStatus`].
-fn terminal_outcome(status: &JobStatus) -> Result<SortOutcome, KvError> {
-    match status.state {
-        JobState::Completed => {
-            let telemetry = status
-                .telemetry
-                .as_deref()
-                .ok_or_else(|| KvError::Service("completed job without telemetry".into()))?;
-            SortOutcome::from_json(telemetry)
-                .map_err(|e| KvError::Service(format!("telemetry decode: {e}")))
-        }
-        state => Err(KvError::Service(format!(
-            "compaction job {} ended {}: {}",
-            status.id,
-            state.name(),
-            status.error.as_deref().unwrap_or("no error recorded")
-        ))),
-    }
+/// A compaction job that ended in a state other than `completed`.
+fn job_ended(id: JobId, state: &str, error: Option<&str>) -> KvError {
+    KvError::Service(format!(
+        "compaction job {id} ended {state}: {}",
+        error.unwrap_or("no error recorded")
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -144,33 +138,37 @@ fn terminal_outcome(status: &JobStatus) -> Result<SortOutcome, KvError> {
 fn http_submit_and_wait(addr: SocketAddr, request: &JobRequest) -> Result<JobResult, KvError> {
     let (code, body) = http_roundtrip(addr, "POST", "/jobs", Some(&request.to_json()))?;
     let v = Json::parse(&body).map_err(|e| KvError::Service(format!("submit response: {e}")))?;
-    let id = match code {
-        202 => v
-            .get("id")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| KvError::Service("202 without a job id".into()))?,
-        429 => {
-            let obj = v.as_obj().unwrap_or(&[]);
-            return Err(KvError::CompactionRejected {
-                predicted: json::get_u64(obj, "predicted").unwrap_or(0),
-                available: json::get_u64(obj, "available").unwrap_or(0),
-            });
-        }
-        _ => {
-            return Err(KvError::Service(format!(
-                "submit rejected with HTTP {code}: {body}"
-            )))
-        }
-    };
+    if code != 202 {
+        return Err(rejection(&v).map_or_else(
+            || KvError::Service(format!("submit rejected with HTTP {code}: {body}")),
+            submit_error,
+        ));
+    }
+    let id = v
+        .get("id")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| KvError::Service("202 without a job id".into()))?;
     loop {
         let (code, body) = http_roundtrip(addr, "GET", &format!("/jobs/{id}/wait"), None)?;
         match code {
             // 408 = server-side long-poll timeout, job still running: poll on.
             408 => continue,
             200 | 504 => {
-                let status = parse_status(&body)?;
-                let outcome = terminal_outcome(&status)?;
-                return Ok(JobResult { id, outcome });
+                let v = Json::parse(&body)
+                    .map_err(|e| KvError::Service(format!("status decode: {e}")))?;
+                let error = v.get("error").and_then(Json::as_str);
+                return match (v.get("state").and_then(Json::as_str), v.get("outcome")) {
+                    (Some("completed"), Some(outcome)) => {
+                        let outcome = SortOutcome::from_json_value(outcome)
+                            .map_err(|e| KvError::Service(format!("telemetry decode: {e}")))?;
+                        Ok(JobResult {
+                            id,
+                            outcome: Arc::new(outcome),
+                        })
+                    }
+                    (Some(state), _) => Err(job_ended(id, state, error)),
+                    (None, _) => Err(KvError::Service(format!("status without a state: {body}"))),
+                };
             }
             _ => {
                 return Err(KvError::Service(format!(
@@ -181,37 +179,27 @@ fn http_submit_and_wait(addr: SocketAddr, request: &JobRequest) -> Result<JobRes
     }
 }
 
-/// The subset of the status payload the compactor dispatches on.
-fn parse_status(body: &str) -> Result<JobStatus, KvError> {
-    let v = Json::parse(body).map_err(|e| KvError::Service(format!("status decode: {e}")))?;
-    let obj = v
-        .as_obj()
-        .ok_or_else(|| KvError::Service("status must be a JSON object".into()))?;
-    let state = match json::get_str(obj, "state").as_deref() {
-        Some("queued") => JobState::Queued,
-        Some("running") => JobState::Running,
-        Some("completed") => JobState::Completed,
-        Some("failed") => JobState::Failed,
-        Some("expired") => JobState::Expired,
-        other => return Err(KvError::Service(format!("unknown job state {other:?}"))),
-    };
-    // The client re-derives the prediction locally (it priced the request
-    // before submitting); the wire copy is display-only here.
-    let predicted = json::find(obj, "predicted").and_then(Json::as_obj);
-    let field = |k| predicted.and_then(|p| json::get_u64(p, k)).unwrap_or(0);
-    Ok(JobStatus {
-        id: json::get_u64(obj, "id").unwrap_or(0),
-        state,
-        predicted: asym_core::sort::CostEstimate {
-            reads: field("reads"),
-            writes: field("writes"),
-            peak_memory: field("peak_memory") as usize,
-            omega: 1,
+/// The typed refusal behind a non-202 submit response, dispatched on its
+/// `error` slug ([`SubmitError::to_json`]); `None` for anything else (a
+/// malformed-request 400, say).
+fn rejection(v: &Json) -> Option<SubmitError> {
+    let field = |k| v.get(k).and_then(Json::as_u64).unwrap_or(0);
+    let (predicted, available) = (field("predicted"), field("available"));
+    Some(match v.get("error")?.as_str()? {
+        "rejected" => SubmitError::Rejected {
+            predicted,
+            available,
         },
-        attempts: json::get_u64(obj, "attempts").unwrap_or(0) as u32,
-        telemetry: json::find(obj, "outcome").map(Json::render),
-        error: json::get_str(obj, "error"),
-        failure: None,
+        "rejected_io" => SubmitError::RejectedIo {
+            predicted,
+            available,
+        },
+        "deadline_unmeetable" => SubmitError::DeadlineUnmeetable {
+            eta_ms: field("eta_ms"),
+            deadline_ms: field("deadline_ms"),
+        },
+        "draining" => SubmitError::Draining,
+        _ => return None,
     })
 }
 
@@ -222,44 +210,24 @@ fn http_roundtrip(
     body: Option<&str>,
 ) -> Result<(u16, String), KvError> {
     let io = |e: std::io::Error| KvError::Service(format!("{method} {path}: {e}"));
-    let stream = TcpStream::connect(addr).map_err(io)?;
-    let mut writer = stream.try_clone().map_err(io)?;
+    let mut stream = TcpStream::connect(addr).map_err(io)?;
     let body = body.unwrap_or("");
     write!(
-        writer,
+        stream,
         "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )
     .map_err(io)?;
-    writer.flush().map_err(io)?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(io)?;
-    let code: u16 = line
+    // One request per connection: the server closes after the response,
+    // so the response is everything up to EOF.
+    let mut response = String::new();
+    stream.read_to_string(&mut response).map_err(io)?;
+    let bad = || KvError::Service(format!("{method} {path}: bad response {response:?}"));
+    let (head, body) = response.split_once("\r\n\r\n").ok_or_else(bad)?;
+    let code = head
         .split_whitespace()
         .nth(1)
         .and_then(|c| c.parse().ok())
-        .ok_or_else(|| KvError::Service(format!("bad status line {line:?}")))?;
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header).map_err(io)?;
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some(v) = header
-            .to_ascii_lowercase()
-            .strip_prefix("content-length:")
-            .map(str::trim)
-        {
-            content_length = v
-                .parse()
-                .map_err(|e| KvError::Service(format!("bad content length: {e}")))?;
-        }
-    }
-    let mut buf = vec![0u8; content_length];
-    reader.read_exact(&mut buf).map_err(io)?;
-    let body = String::from_utf8(buf).map_err(|e| KvError::Service(format!("bad body: {e}")))?;
-    Ok((code, body))
+        .ok_or_else(bad)?;
+    Ok((code, body.to_string()))
 }

@@ -293,3 +293,43 @@ fn oversized_compactions_are_rejected_with_both_sides() {
         other => panic!("expected CompactionRejected, got {other:?}"),
     }
 }
+
+/// An I/O-budget refusal is the same error on both transports: the HTTP
+/// client dispatches on the 429's `error` slug, so a `rejected_io` body is
+/// not misread as a memory rejection.
+#[test]
+fn io_budget_refusals_match_across_transports() {
+    let service = |name: &str| {
+        let dir = std::env::temp_dir().join(format!("asym-kv-io-{}-{name}", std::process::id()));
+        let mut cfg = ServiceConfig::new(1, 64 << 20, dir.clone());
+        cfg.io_budget = 1; // every compaction costs more than this
+        (SortService::start(cfg).expect("service"), dir)
+    };
+    let (remote_service, remote_dir) = service("http");
+    let mut server = serve(remote_service, "127.0.0.1:0").expect("bind loopback");
+    let (local_service, local_dir) = service("local");
+    let cfg = || small_cfg(CompactionStyle::Tiering, 2, 8);
+    let mut local = AsymKv::with_service(cfg(), CompactionService::Local(local_service, local_dir))
+        .expect("local engine");
+    let mut remote =
+        AsymKv::with_service(cfg(), CompactionService::http(server.addr())).expect("http engine");
+
+    let first_error = |kv: &mut AsymKv| {
+        (0..64u64)
+            .find_map(|i| kv.put(i, i).err())
+            .expect("a compaction must be refused")
+    };
+    let (local_err, remote_err) = (first_error(&mut local), first_error(&mut remote));
+    assert!(
+        matches!(local_err, asym_kv::KvError::Service(_)),
+        "{local_err:?}"
+    );
+    assert!(
+        matches!(remote_err, asym_kv::KvError::Service(_)),
+        "{remote_err:?}"
+    );
+    assert_eq!(local_err.to_string(), remote_err.to_string());
+    assert!(local_err.to_string().contains("I/O cost"), "{local_err}");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(remote_dir);
+}

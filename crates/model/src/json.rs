@@ -6,7 +6,12 @@
 //! through this module, so there is exactly one parser to keep correct and
 //! no external dependency to vendor. The surface is deliberately small: a
 //! [`Json`] tree with typed accessors for reading, and [`JsonObj`] /
-//! [`JsonArr`] builders plus [`quote`] / [`number`] for writing.
+//! [`JsonArr`] builders plus [`quote`] / [`number`] for writing, and one
+//! records codec ([`records_json`] / [`parse_records`]) for the
+//! `[key, payload]` arrays every job-level format embeds.
+
+use crate::Record;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -163,6 +168,22 @@ pub fn get_usize(obj: &[(String, Json)], key: &str) -> Option<usize> {
 /// A boolean field's value.
 pub fn get_bool(obj: &[(String, Json)], key: &str) -> Option<bool> {
     find(obj, key).and_then(Json::as_bool)
+}
+
+/// Decode a [`records_json`] array: `[[key, payload], ...]`, both exact
+/// `u64`s.
+pub fn parse_records(v: &Json) -> Result<Vec<Record>, String> {
+    let items = v.as_arr().ok_or("records must be an array")?;
+    items
+        .iter()
+        .map(|item| match item.as_arr() {
+            Some([key, payload]) => Ok(Record::new(
+                key.as_u64().ok_or("record key must be a u64")?,
+                payload.as_u64().ok_or("record payload must be a u64")?,
+            )),
+            _ => Err("records are [key, payload] pairs".into()),
+        })
+        .collect()
 }
 
 // ---- parser ----------------------------------------------------------------
@@ -341,6 +362,21 @@ pub fn number(x: f64) -> String {
     } else {
         "0".into()
     }
+}
+
+/// Render records as a JSON array of `[key, payload]` pairs — the same
+/// bytes a [`JsonArr`] of per-record arrays produces, written into one
+/// buffer sized for the widest `u64`s so it never reallocates.
+pub fn records_json(records: &[Record]) -> String {
+    // "[", "]", and per record "[k, p]" plus ", ": at most 2·20 + 6 bytes.
+    let mut out = String::with_capacity(2 + records.len() * 46);
+    out.push('[');
+    for (i, r) in records.iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}[{}, {}]", r.key, r.payload);
+    }
+    out.push(']');
+    out
 }
 
 /// Incremental single-line JSON object emitter.
@@ -550,6 +586,33 @@ mod tests {
         assert_eq!(get_bool(obj, "b"), Some(false));
         assert_eq!(get_str(obj, "n"), None, "type-mismatched reads are None");
         assert_eq!(get_u64(obj, "s"), None);
+    }
+
+    #[test]
+    fn records_codec_matches_the_builder_and_round_trips() {
+        let records = [
+            Record::new(u64::MAX - 1, 0),
+            Record::new(3, u64::MAX),
+            Record::new(0, 7),
+        ];
+        let mut arr = JsonArr::new();
+        for r in &records {
+            arr.raw(&format!("[{}, {}]", r.key, r.payload));
+        }
+        let text = records_json(&records);
+        assert_eq!(text, arr.finish(), "byte-identical to the JsonArr form");
+        assert_eq!(records_json(&[]), "[]");
+        let back = parse_records(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, records);
+        for (bad, needle) in [
+            ("7", "must be an array"),
+            ("[[1, 2, 3]]", "[key, payload] pairs"),
+            ("[[-1, 2]]", "key must be a u64"),
+            ("[[1, \"x\"]]", "payload must be a u64"),
+        ] {
+            let err = parse_records(&Json::parse(bad).unwrap()).unwrap_err();
+            assert!(err.contains(needle), "{bad}: {err}");
+        }
     }
 
     #[test]

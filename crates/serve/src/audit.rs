@@ -7,8 +7,9 @@
 //! *sufficient* to restart the service: `accepted` embeds the full
 //! [`JobRequest`] (the service can re-run the job), `completed` embeds the
 //! full outcome telemetry (a restarted service still serves old results),
-//! and every terminal event names its job. [`replay`] folds any prefix of
-//! a log into a [`Replay`]:
+//! and every terminal event names its job. Events hold typed values
+//! ([`SortOutcome`], [`CheckpointManifest`]); JSON exists only in the
+//! rendered line. [`replay`] folds any prefix of a log into a [`Replay`]:
 //!
 //! * terminal outcomes win and never un-terminalize, so replaying a longer
 //!   prefix only ever *adds* information — the monotonicity property
@@ -20,8 +21,10 @@
 //!   must not misread a future log as an empty one.
 
 use crate::job::{FailureKind, JobId, JobRequest};
+use asym_core::sort::{CheckpointManifest, SortOutcome};
 use asym_model::json::{self, Json, JsonObj};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The audit schema this build writes and the only one it replays.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -96,15 +99,12 @@ pub enum AuditEvent {
     /// A staged job completed a phase; the manifest is durable the moment
     /// this line is. Recovery hands the *latest* manifest back to the
     /// re-queued job so a restarted worker resumes instead of restarting.
+    /// The line's `phase` field is the manifest's `phases_done`.
     Checkpointed {
         /// The job.
         id: JobId,
-        /// Completed phases (the manifest's `phases_done`).
-        phase: u64,
-        /// [`CheckpointManifest::to_json`], embedded verbatim.
-        ///
-        /// [`CheckpointManifest::to_json`]: asym_core::sort::CheckpointManifest::to_json
-        manifest: String,
+        /// The phase-boundary snapshot.
+        manifest: CheckpointManifest,
     },
     /// A retryable failure; the job re-queued with backoff.
     Retried {
@@ -122,9 +122,12 @@ pub enum AuditEvent {
     Completed {
         /// The job.
         id: JobId,
-        /// [`SortOutcome::to_json`](asym_core::sort::SortOutcome::to_json),
-        /// embedded verbatim.
-        telemetry: String,
+        /// The result; a stats-only job's holds no records.
+        outcome: Arc<SortOutcome>,
+        /// The telemetry's `output_len`: the job's record count.
+        output_len: usize,
+        /// Whether the telemetry embeds the sorted records.
+        include_output: bool,
     },
     /// Terminal failure (fatal kind, or the attempt budget is spent).
     Failed {
@@ -213,14 +216,10 @@ impl AuditEvent {
             AuditEvent::Started { id, attempt } => {
                 o.u64("id", *id).u64("attempt", *attempt as u64);
             }
-            AuditEvent::Checkpointed {
-                id,
-                phase,
-                manifest,
-            } => {
+            AuditEvent::Checkpointed { id, manifest } => {
                 o.u64("id", *id)
-                    .u64("phase", *phase)
-                    .raw("manifest", manifest);
+                    .u64("phase", manifest.phases_done)
+                    .raw("manifest", &manifest.to_json());
             }
             AuditEvent::Retried {
                 id,
@@ -233,8 +232,14 @@ impl AuditEvent {
                     .u64("backoff_ms", *backoff_ms)
                     .str("error", error);
             }
-            AuditEvent::Completed { id, telemetry } => {
-                o.u64("id", *id).raw("outcome", telemetry);
+            AuditEvent::Completed {
+                id,
+                outcome,
+                output_len,
+                include_output,
+            } => {
+                let telemetry = outcome.to_json_with_len(*output_len, *include_output);
+                o.u64("id", *id).raw("outcome", &telemetry);
             }
             AuditEvent::Failed { id, kind, error } => {
                 o.u64("id", *id)
@@ -316,13 +321,12 @@ impl AuditEvent {
                 attempt: attempt()?,
             }),
             "checkpointed" => {
-                let manifest = json::find(obj, "manifest")
-                    .ok_or_else(|| bad("checkpointed event missing \"manifest\"".into()))?
-                    .render();
+                let mv = json::find(obj, "manifest")
+                    .ok_or_else(|| bad("checkpointed event missing \"manifest\"".into()))?;
+                let manifest = CheckpointManifest::from_json_value(mv)
+                    .map_err(|e| bad(format!("embedded manifest: {e}")))?;
                 Ok(AuditEvent::Checkpointed {
                     id: id()?,
-                    phase: json::get_u64(obj, "phase")
-                        .ok_or_else(|| bad("checkpointed event missing \"phase\"".into()))?,
                     manifest,
                 })
             }
@@ -333,12 +337,18 @@ impl AuditEvent {
                 error: json::get_str(obj, "error").unwrap_or_default(),
             }),
             "completed" => {
-                let telemetry = json::find(obj, "outcome")
-                    .ok_or_else(|| bad("completed event missing \"outcome\"".into()))?
-                    .render();
+                let ov = json::find(obj, "outcome")
+                    .ok_or_else(|| bad("completed event missing \"outcome\"".into()))?;
+                let outcome = SortOutcome::from_json_value(ov)
+                    .map_err(|e| bad(format!("embedded outcome: {e}")))?;
                 Ok(AuditEvent::Completed {
                     id: id()?,
-                    telemetry,
+                    output_len: ov
+                        .get("output_len")
+                        .and_then(Json::as_u64)
+                        .map_or(outcome.output.len(), |n| n as usize),
+                    include_output: ov.get("output").is_some(),
+                    outcome: Arc::new(outcome),
                 })
             }
             "failed" => {
@@ -369,10 +379,10 @@ impl AuditEvent {
 pub enum ReplayOutcome {
     /// Accepted, no terminal event yet: recovery must re-queue it.
     Pending,
-    /// Done; the embedded telemetry is the result.
+    /// Done, with the recorded result.
     Completed {
-        /// The embedded outcome JSON.
-        telemetry: String,
+        /// The decoded outcome (no records for a stats-only job).
+        outcome: Arc<SortOutcome>,
     },
     /// Terminally failed.
     Failed {
@@ -401,18 +411,23 @@ pub struct ReplayJob {
     pub attempts: u32,
     /// The job's fate so far.
     pub outcome: ReplayOutcome,
-    /// The latest checkpoint manifest (embedded JSON), if the job made
-    /// phase progress before the log ended. A re-queued job resumes from
-    /// it instead of restarting.
-    pub manifest: Option<String>,
-    /// `phases_done` of that manifest (0: none). Only advances — a stale
-    /// or replayed `checkpointed` line can never roll progress back.
-    pub checkpoint_phase: u64,
+    /// The latest checkpoint manifest, if the job made phase progress
+    /// before the log ended. A re-queued job resumes from it instead of
+    /// restarting. Only advances — a stale or replayed `checkpointed` line
+    /// can never roll progress back.
+    pub manifest: Option<CheckpointManifest>,
     /// The attempt count at the moment of the last phase progress — the
     /// retry clock's epoch: backoff and fault decay key off
     /// `attempts − attempts_at_checkpoint`, so attempts that *made*
     /// progress are never re-billed.
     pub attempts_at_checkpoint: u32,
+}
+
+impl ReplayJob {
+    /// `phases_done` of the latest manifest (0: no progress).
+    pub fn checkpoint_phase(&self) -> u64 {
+        self.manifest.as_ref().map_or(0, |m| m.phases_done)
+    }
 }
 
 /// The fold of a log prefix: everything a restarted service needs.
@@ -451,7 +466,6 @@ impl Replay {
                     attempts: 0,
                     outcome: ReplayOutcome::Pending,
                     manifest: None,
-                    checkpoint_phase: 0,
                     attempts_at_checkpoint: 0,
                 });
             }
@@ -465,18 +479,13 @@ impl Replay {
                     j.attempts = j.attempts.max(attempt);
                 }
             }
-            AuditEvent::Checkpointed {
-                id,
-                phase,
-                manifest,
-            } => {
+            AuditEvent::Checkpointed { id, manifest } => {
                 // Progress only moves forward, and a manifest arriving
                 // after the job's terminal outcome is stale noise (a torn
                 // race the WAL ordering makes possible only across
                 // replays) — ignore both.
                 if let Some(j) = self.jobs.get_mut(&id) {
-                    if !j.outcome.is_terminal() && phase > j.checkpoint_phase {
-                        j.checkpoint_phase = phase;
+                    if !j.outcome.is_terminal() && manifest.phases_done > j.checkpoint_phase() {
                         j.manifest = Some(manifest);
                         j.attempts_at_checkpoint = j.attempts;
                     }
@@ -488,8 +497,8 @@ impl Replay {
                     j.attempts = j.attempts.max(attempt);
                 }
             }
-            AuditEvent::Completed { id, telemetry } => {
-                self.terminalize(id, ReplayOutcome::Completed { telemetry });
+            AuditEvent::Completed { id, outcome, .. } => {
+                self.terminalize(id, ReplayOutcome::Completed { outcome });
             }
             AuditEvent::Failed { id, kind, error } => {
                 self.terminalize(id, ReplayOutcome::Failed { kind, error });
@@ -536,7 +545,7 @@ pub fn replay(text: &str) -> Result<Replay, AuditError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asym_core::sort::{Algorithm, SortSpec};
+    use asym_core::sort::{self, Algorithm, MemCheckpointer, SortSpec};
     use asym_model::workload::Workload;
 
     fn request() -> JobRequest {
@@ -555,8 +564,24 @@ mod tests {
         }
     }
 
+    /// A real run of [`request`]'s job: its outcome and the manifest of
+    /// every phase of the staged run.
+    fn run() -> (Arc<SortOutcome>, Vec<CheckpointManifest>) {
+        let r = request();
+        let input = r.workload.generate(r.records, r.data_seed);
+        let mut sink = MemCheckpointer::default();
+        let outcome = sort::run_staged(&r.spec, &input, &mut sink).unwrap();
+        assert!(sink.manifests.len() >= 3, "need three phases");
+        (Arc::new(outcome), sink.manifests)
+    }
+
     #[test]
     fn events_round_trip() {
+        let (outcome, _) = run();
+        let stats_only = Arc::new(SortOutcome {
+            output: Vec::new(),
+            ..(*outcome).clone()
+        });
         let events = [
             AuditEvent::Accepted {
                 id: 3,
@@ -580,7 +605,15 @@ mod tests {
             },
             AuditEvent::Completed {
                 id: 3,
-                telemetry: r#"{"reads": 1, "writes": 2}"#.into(),
+                outcome: Arc::clone(&outcome),
+                output_len: 300,
+                include_output: true,
+            },
+            AuditEvent::Completed {
+                id: 6,
+                outcome: stats_only,
+                output_len: 300,
+                include_output: false,
             },
             AuditEvent::Failed {
                 id: 4,
@@ -598,27 +631,7 @@ mod tests {
         for ev in events {
             let line = ev.to_json();
             let back = AuditEvent::from_json(&line).expect(&line);
-            // The embedded telemetry re-renders through the parser, so
-            // compare semantically where whitespace may differ.
-            match (&ev, &back) {
-                (
-                    AuditEvent::Completed {
-                        id: a,
-                        telemetry: t,
-                    },
-                    AuditEvent::Completed {
-                        id: b,
-                        telemetry: u,
-                    },
-                ) => {
-                    assert_eq!(a, b);
-                    assert_eq!(
-                        Json::parse(t).unwrap().render(),
-                        Json::parse(u).unwrap().render()
-                    );
-                }
-                _ => assert_eq!(ev, back, "{line}"),
-            }
+            assert_eq!(ev, back, "{line}");
         }
     }
 
@@ -632,23 +645,16 @@ mod tests {
         assert!(line.contains("\"io_budget\""), "{line}");
         assert_eq!(AuditEvent::from_json(&line), Ok(io));
 
-        let manifest = Json::parse(r#"{"version": 1, "phases_done": 3}"#)
-            .unwrap()
-            .render();
+        let manifest = run().1[2].clone();
         let ev = AuditEvent::Checkpointed {
             id: 9,
-            phase: 3,
             manifest: manifest.clone(),
         };
         let back = AuditEvent::from_json(&ev.to_json()).expect("decode");
         match back {
-            AuditEvent::Checkpointed {
-                id,
-                phase,
-                manifest: m,
-            } => {
-                assert_eq!((id, phase), (9, 3));
-                assert_eq!(Json::parse(&m).unwrap().render(), manifest);
+            AuditEvent::Checkpointed { id, manifest: m } => {
+                assert_eq!((id, m.phases_done), (9, 3));
+                assert_eq!(m, manifest);
             }
             other => panic!("decoded as {other:?}"),
         }
@@ -659,6 +665,7 @@ mod tests {
     #[test]
     fn replay_tracks_checkpoint_progress_monotonically() {
         let r = request();
+        let (outcome, manifests) = run();
         let mut log = String::new();
         for ev in [
             AuditEvent::Accepted {
@@ -669,20 +676,17 @@ mod tests {
             AuditEvent::Started { id: 0, attempt: 1 },
             AuditEvent::Checkpointed {
                 id: 0,
-                phase: 1,
-                manifest: r#"{"phases_done": 1}"#.into(),
+                manifest: manifests[0].clone(),
             },
             AuditEvent::Checkpointed {
                 id: 0,
-                phase: 2,
-                manifest: r#"{"phases_done": 2}"#.into(),
+                manifest: manifests[1].clone(),
             },
             // A duplicated / late-arriving older manifest must not roll
             // progress back.
             AuditEvent::Checkpointed {
                 id: 0,
-                phase: 1,
-                manifest: r#"{"phases_done": 1}"#.into(),
+                manifest: manifests[0].clone(),
             },
         ] {
             log.push_str(&ev.to_json());
@@ -690,8 +694,8 @@ mod tests {
         }
         let rep = replay(&log).expect("replays");
         let j = &rep.jobs[&0];
-        assert_eq!(j.checkpoint_phase, 2);
-        assert!(j.manifest.as_deref().unwrap().contains("2"));
+        assert_eq!(j.checkpoint_phase(), 2);
+        assert_eq!(j.manifest.as_ref(), Some(&manifests[1]));
         assert_eq!(j.attempts_at_checkpoint, 1, "progress made on attempt 1");
         assert_eq!(j.outcome, ReplayOutcome::Pending);
 
@@ -700,12 +704,13 @@ mod tests {
         for ev in [
             AuditEvent::Completed {
                 id: 0,
-                telemetry: r#"{"reads": 7}"#.into(),
+                outcome,
+                output_len: r.records,
+                include_output: true,
             },
             AuditEvent::Checkpointed {
                 id: 0,
-                phase: 3,
-                manifest: r#"{"phases_done": 3}"#.into(),
+                manifest: manifests[2].clone(),
             },
         ] {
             terminal.push_str(&ev.to_json());
@@ -714,7 +719,8 @@ mod tests {
         let rep2 = replay(&terminal).expect("replays");
         assert!(rep2.jobs[&0].outcome.is_terminal());
         assert_eq!(
-            rep2.jobs[&0].checkpoint_phase, 2,
+            rep2.jobs[&0].checkpoint_phase(),
+            2,
             "stale manifest after terminal outcome is ignored"
         );
         // And replay is idempotent over the extended log too.
@@ -742,6 +748,7 @@ mod tests {
     #[test]
     fn replay_folds_and_tolerates_a_torn_tail() {
         let r = request();
+        let (outcome, _) = run();
         let mut log = String::new();
         for ev in [
             AuditEvent::Accepted {
@@ -764,7 +771,9 @@ mod tests {
             AuditEvent::Started { id: 0, attempt: 2 },
             AuditEvent::Completed {
                 id: 0,
-                telemetry: r#"{"reads": 7}"#.into(),
+                outcome,
+                output_len: r.records,
+                include_output: true,
             },
             AuditEvent::RejectedBudget {
                 predicted: 9,

@@ -14,10 +14,11 @@
 //! `include_output` chooses between lean telemetry and full sorted output
 //! in the completion payload.
 
-use asym_core::sort::{checkpoint, CostEstimate, SortSpec, WireError};
-use asym_model::json::{self, Json, JsonArr, JsonObj};
+use asym_core::sort::{checkpoint, CostEstimate, SortOutcome, SortSpec, WireError};
+use asym_model::json::{self, Json, JsonObj};
 use asym_model::workload::Workload;
 use asym_model::Record;
+use std::sync::Arc;
 
 /// Identifies one submitted job for the rest of its life (assigned by the
 /// service, monotonically increasing).
@@ -43,8 +44,9 @@ pub struct JobRequest {
     /// request must still fit the body cap
     /// ([`MAX_BODY`](crate::http::MAX_BODY)), which bounds inline jobs to
     /// tens of thousands of records — by design: bulk data belongs in
-    /// named generators or future object-store references.
-    pub input: Option<Vec<Record>>,
+    /// named generators or future object-store references. Shared, so the
+    /// service's job table and workers hold the records without copying.
+    pub input: Option<Arc<[Record]>>,
     /// Include the sorted records in the completion telemetry (off for
     /// stats-only submissions).
     pub include_output: bool,
@@ -70,7 +72,8 @@ impl JobRequest {
     /// A job over inline data: sort exactly `input`, return the sorted
     /// records in the telemetry. The `asym-kv` compactor submits its run
     /// merges through this.
-    pub fn inline(spec: SortSpec, input: Vec<Record>) -> JobRequest {
+    pub fn inline(spec: SortSpec, input: impl Into<Arc<[Record]>>) -> JobRequest {
+        let input = input.into();
         JobRequest {
             spec,
             workload: Workload::UniformRandom, // ignored: input is inline
@@ -93,7 +96,7 @@ impl JobRequest {
     /// How many records this job sorts — the inline payload length when
     /// present, the generator count otherwise.
     pub fn record_count(&self) -> usize {
-        self.input.as_ref().map_or(self.records, Vec::len)
+        self.input.as_deref().map_or(self.records, <[Record]>::len)
     }
 
     /// The pre-run cost bounds the service admits on: the single-shot
@@ -117,11 +120,7 @@ impl JobRequest {
             .u64("data_seed", self.data_seed)
             .bool("include_output", self.include_output);
         if let Some(input) = &self.input {
-            let mut arr = JsonArr::new();
-            for r in input {
-                arr.raw(&format!("[{}, {}]", r.key, r.payload));
-            }
-            o.raw("input", &arr.finish());
+            o.raw("input", &json::records_json(input));
         }
         if let Some(d) = self.deadline_ms {
             o.u64("deadline_ms", d);
@@ -148,28 +147,10 @@ impl JobRequest {
             .ok_or_else(|| WireError::Malformed("missing string field \"workload\"".into()))?;
         let workload = Workload::parse(&name)
             .ok_or_else(|| WireError::Malformed(format!("unknown workload {name:?}")))?;
-        let input = match json::find(obj, "input") {
-            None => None,
-            Some(arr) => {
-                let items = arr
-                    .as_arr()
-                    .ok_or_else(|| WireError::Malformed("\"input\" must be an array".into()))?;
-                let mut records = Vec::with_capacity(items.len());
-                for item in items {
-                    let pair = item.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                        WireError::Malformed("input records are [key, payload] pairs".into())
-                    })?;
-                    let key = pair[0]
-                        .as_u64()
-                        .ok_or_else(|| WireError::Malformed("record key must be a u64".into()))?;
-                    let payload = pair[1].as_u64().ok_or_else(|| {
-                        WireError::Malformed("record payload must be a u64".into())
-                    })?;
-                    records.push(Record::new(key, payload));
-                }
-                Some(records)
-            }
-        };
+        let input: Option<Arc<[Record]>> = json::find(obj, "input")
+            .map(|arr| json::parse_records(arr).map(Arc::from))
+            .transpose()
+            .map_err(|e| WireError::Malformed(format!("\"input\": {e}")))?;
         // Inline input is authoritative for the record count; `records` is
         // only required for generator jobs.
         let records = match &input {
@@ -278,10 +259,16 @@ pub struct JobStatus {
     pub predicted: CostEstimate,
     /// How many run attempts the job has consumed so far.
     pub attempts: u32,
-    /// Completion telemetry ([`SortOutcome::to_json`]) once `Completed`.
-    ///
-    /// [`SortOutcome::to_json`]: asym_core::sort::SortOutcome::to_json
-    pub telemetry: Option<String>,
+    /// The sort's result once `Completed`, shared with the job table. A
+    /// stats-only job (`include_output` off) keeps no records: its
+    /// `output` is empty, and the wire `output_len` comes from
+    /// [`records`](Self::records).
+    pub outcome: Option<Arc<SortOutcome>>,
+    /// The job's record count ([`JobRequest::record_count`]).
+    pub records: usize,
+    /// The request's `include_output`: whether the rendered outcome
+    /// carries the sorted records.
+    pub include_output: bool,
     /// The most recent failure message (`Failed`, or a retried attempt).
     pub error: Option<String>,
     /// The failure classification once `Failed`.
@@ -290,7 +277,9 @@ pub struct JobStatus {
 
 impl JobStatus {
     /// Render as JSON: id, state, the predicted bounds, and — depending on
-    /// state — the nested outcome telemetry or the error message.
+    /// state — the nested outcome telemetry ([`SortOutcome::to_json`]) or
+    /// the error message. The one place a job's outcome is rendered for a
+    /// client.
     pub fn to_json(&self) -> String {
         let mut o = JsonObj::new();
         o.u64("id", self.id)
@@ -303,8 +292,9 @@ impl JobStatus {
             .u64("peak_bytes", self.predicted.peak_bytes())
             .u64("io_cost", self.predicted.io_cost());
         o.raw("predicted", &p.finish());
-        if let Some(t) = &self.telemetry {
-            o.raw("outcome", t);
+        if let Some(outcome) = &self.outcome {
+            let telemetry = outcome.to_json_with_len(self.records, self.include_output);
+            o.raw("outcome", &telemetry);
         }
         if let Some(e) = &self.error {
             o.str("error", e);
@@ -463,12 +453,15 @@ mod tests {
     #[test]
     fn status_renders_state_and_prediction() {
         let r = request();
+        let input = r.workload.generate(r.records, r.data_seed);
         let status = JobStatus {
             id: 7,
             state: JobState::Completed,
             predicted: r.predict(),
             attempts: 2,
-            telemetry: Some(r#"{ "reads": 1 }"#.into()),
+            outcome: Some(Arc::new(asym_core::sort::run(&r.spec, &input).unwrap())),
+            records: r.records,
+            include_output: false,
             error: None,
             failure: None,
         };

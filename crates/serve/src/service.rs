@@ -38,10 +38,13 @@
 
 use crate::audit::{replay, AuditError, AuditEvent, ReplayOutcome};
 use crate::job::{FailureKind, JobId, JobRequest, JobState, JobStatus};
-use asym_core::sort::{self, CheckpointManifest, Checkpointer, CostEstimate, SortSpec, SpecError};
+use asym_core::sort::{
+    self, CheckpointManifest, Checkpointer, CostEstimate, SortOutcome, SortSpec, SpecError,
+};
 use asym_model::json::JsonObj;
-use asym_model::ModelError;
+use asym_model::{ModelError, Record};
 use em_sim::{Backend, FaultSpec};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -321,20 +324,17 @@ struct JobEntry {
     attempts: u32,
     /// Queue-expiry deadline, armed at admission from `deadline_ms`.
     expires_at: Option<Instant>,
-    telemetry: Option<String>,
+    /// The result once completed (no records for a stats-only job).
+    outcome: Option<Arc<SortOutcome>>,
     error: Option<String>,
     failure: Option<FailureKind>,
     /// When the job entered the queue — the aging clock of the
     /// ETA-priority scheduler.
     enqueued_at: Instant,
-    /// Latest checkpoint manifest (embedded JSON) for a staged job; the
-    /// next attempt resumes from it.
-    manifest: Option<String>,
-    /// `phases_done` of that manifest (0: no progress yet).
-    checkpoint_phase: u64,
-    /// The plan's total phase count, once known (0: unknown) — lets the
-    /// scheduler scale remaining work by phases left.
-    checkpoint_total: u64,
+    /// Latest checkpoint manifest for a staged job: the next attempt
+    /// resumes from it, and the scheduler scales remaining work by its
+    /// phases left.
+    manifest: Option<CheckpointManifest>,
     /// Attempt count at the moment of the last phase progress: the retry
     /// clock's epoch. Backoff and fault decay key off
     /// `attempts − attempts_at_progress`, so an attempt that completed a
@@ -393,11 +393,17 @@ impl Inner {
     /// state → audit (or audit alone); never take state while holding
     /// audit.
     fn audit_event(&self, ev: &AuditEvent) {
+        self.audit_line(&ev.to_json());
+    }
+
+    /// Append one already-rendered event line (see
+    /// [`audit_event`](Self::audit_event)).
+    fn audit_line(&self, line: &str) {
         let mut sink = self.audit.lock().expect("audit log");
         if let AuditSink::File(f) = &mut *sink {
             // Audit faults must not take down the data path; events are
             // best-effort once the file opened.
-            let _ = writeln!(f, "{}", ev.to_json());
+            let _ = writeln!(f, "{line}");
             let _ = f.flush();
         }
     }
@@ -463,24 +469,17 @@ impl SortService {
             // A recovered staged job carries its latest durable manifest:
             // the next attempt resumes from it instead of restarting, and
             // its retry clock restarts at the manifest's progress epoch.
-            let checkpoint_total = job
-                .manifest
-                .as_deref()
-                .and_then(|m| asym_core::sort::CheckpointManifest::from_json(m).ok())
-                .map_or(0, |m| m.total_phases);
             let mut entry = JobEntry {
                 predicted,
                 state: JobState::Queued,
                 attempts: job.attempts,
                 expires_at: None,
-                telemetry: None,
+                outcome: None,
                 error: None,
                 failure: None,
                 request: job.request,
                 enqueued_at: now,
                 manifest: job.manifest,
-                checkpoint_phase: job.checkpoint_phase,
-                checkpoint_total,
                 attempts_at_progress: job.attempts_at_checkpoint,
             };
             match job.outcome {
@@ -497,9 +496,9 @@ impl SortService {
                     st.queue.push_back(id);
                     report.requeued += 1;
                 }
-                ReplayOutcome::Completed { telemetry } => {
+                ReplayOutcome::Completed { outcome } => {
                     entry.state = JobState::Completed;
-                    entry.telemetry = Some(telemetry);
+                    entry.outcome = Some(outcome);
                     st.completed += 1;
                     report.restored += 1;
                 }
@@ -648,13 +647,11 @@ impl SortService {
                     expires_at: request
                         .deadline_ms
                         .map(|ms| Instant::now() + Duration::from_millis(ms)),
-                    telemetry: None,
+                    outcome: None,
                     error: None,
                     failure: None,
                     enqueued_at: Instant::now(),
                     manifest: None,
-                    checkpoint_phase: 0,
-                    checkpoint_total: 0,
                     attempts_at_progress: 0,
                 },
             );
@@ -849,7 +846,9 @@ fn snapshot(id: JobId, e: &JobEntry) -> JobStatus {
         state: e.state,
         predicted: e.predicted,
         attempts: e.attempts,
-        telemetry: e.telemetry.clone(),
+        outcome: e.outcome.clone(),
+        records: e.request.record_count(),
+        include_output: e.request.include_output,
         error: e.error.clone(),
         failure: e.failure,
     }
@@ -902,11 +901,12 @@ fn pick_next(st: &State, cfg: &ServiceConfig, now: Instant) -> Option<usize> {
     for (pos, &id) in st.queue.iter().enumerate() {
         let Some(e) = st.jobs.get(&id) else { continue };
         let io = e.predicted.io_cost();
-        let remaining = if e.checkpoint_total > 0 {
-            let left = e.checkpoint_total - e.checkpoint_phase.min(e.checkpoint_total);
-            (io as u128 * left as u128 / e.checkpoint_total as u128) as u64
-        } else {
-            io
+        let remaining = match &e.manifest {
+            Some(m) if m.total_phases > 0 => {
+                let left = m.total_phases - m.phases_done.min(m.total_phases);
+                (io as u128 * left as u128 / m.total_phases as u128) as u64
+            }
+            _ => io,
         };
         let age_ms = now.saturating_duration_since(e.enqueued_at).as_millis() as i128;
         let effective = remaining as i128 - age_ms * cfg.aging_io_per_ms as i128;
@@ -986,7 +986,7 @@ fn worker_loop(inner: &Arc<Inner>) {
                 id,
                 &request,
                 failed_since_progress,
-                manifest.as_deref(),
+                manifest.as_ref(),
             )
         }))
         .unwrap_or_else(|payload| {
@@ -1003,6 +1003,23 @@ fn worker_loop(inner: &Arc<Inner>) {
                 kind: FailureKind::Panic,
                 message: panic_message(payload.as_ref()),
             })
+        });
+        // The `completed` line is rendered here, outside the state lock. A
+        // stats-only job then keeps no records: the table renders its
+        // `output_len` from the request.
+        let result = result.map(|mut outcome| {
+            if !request.include_output {
+                outcome.output = Vec::new();
+            }
+            let outcome = Arc::new(outcome);
+            let line = AuditEvent::Completed {
+                id,
+                outcome: Arc::clone(&outcome),
+                output_len: request.record_count(),
+                include_output: request.include_output,
+            }
+            .to_json();
+            (outcome, line)
         });
 
         {
@@ -1022,11 +1039,11 @@ fn worker_loop(inner: &Arc<Inner>) {
                 Failed,
             }
             let done = match result {
-                Ok(telemetry) => {
+                Ok((outcome, line)) => {
                     entry.state = JobState::Completed;
-                    entry.telemetry = Some(telemetry.clone());
+                    entry.outcome = Some(outcome);
                     entry.error = None;
-                    inner.audit_event(&AuditEvent::Completed { id, telemetry });
+                    inner.audit_line(&line);
                     Done::Completed
                 }
                 Err(f) if f.kind.retryable() && effective_attempts < max_attempts && !st.killed => {
@@ -1099,19 +1116,16 @@ struct ServiceCheckpointer {
 
 impl Checkpointer for ServiceCheckpointer {
     fn save(&mut self, manifest: &CheckpointManifest) -> asym_model::Result<()> {
-        let rendered = manifest.to_json();
         self.inner.audit_event(&AuditEvent::Checkpointed {
             id: self.id,
-            phase: manifest.phases_done,
-            manifest: rendered.clone(),
+            manifest: manifest.clone(),
         });
         let mut st = self.inner.state.lock().expect("service state");
         st.checkpoints += 1;
         if let Some(e) = st.jobs.get_mut(&self.id) {
-            if manifest.phases_done > e.checkpoint_phase {
-                e.checkpoint_phase = manifest.phases_done;
-                e.checkpoint_total = manifest.total_phases;
-                e.manifest = Some(rendered);
+            let done = e.manifest.as_ref().map_or(0, |m| m.phases_done);
+            if manifest.phases_done > done {
+                e.manifest = Some(manifest.clone());
                 e.attempts_at_progress = e.attempts;
             }
         }
@@ -1121,7 +1135,7 @@ impl Checkpointer for ServiceCheckpointer {
 
 /// Run one attempt: materialize the input (inline payload, or regenerated
 /// from the named workload), point file-backed storage and
-/// the fault schedule at this attempt, sort, render telemetry. Staged
+/// the fault schedule at this attempt, and sort. Staged
 /// (checkpointed) jobs resume from their latest durable manifest when it
 /// still validates, and fall back to a fresh staged run otherwise.
 /// Failures come back classified.
@@ -1130,8 +1144,8 @@ fn run_job(
     id: JobId,
     request: &JobRequest,
     failed_since_progress: u32,
-    manifest: Option<&str>,
-) -> Result<String, JobFailure> {
+    manifest: Option<&CheckpointManifest>,
+) -> Result<SortOutcome, JobFailure> {
     let dir = if request.spec.backend() == Backend::File {
         let dir = inner.cfg.root_dir.join(format!("job-{id}"));
         // A transient filesystem hiccup here is as retryable as one
@@ -1163,13 +1177,15 @@ fn run_job(
         request.spec.clone()
     };
     // Inline payloads sort verbatim; generator jobs regenerate server-side.
-    let input = match &request.input {
-        Some(records) => records.clone(),
-        None => request
-            .workload
-            .generate(request.records, request.data_seed),
+    let input: Cow<[Record]> = match &request.input {
+        Some(records) => Cow::Borrowed(records),
+        None => Cow::Owned(
+            request
+                .workload
+                .generate(request.records, request.data_seed),
+        ),
     };
-    let outcome = if request.checkpoint {
+    if request.checkpoint {
         // Staged path: resume from the latest durable manifest when it
         // still matches this job (the digest ignores backend/file_dir/
         // fault, so the per-attempt respec cannot orphan a manifest);
@@ -1179,11 +1195,8 @@ fn run_job(
             inner: Arc::clone(inner),
             id,
         };
-        let resume = manifest
-            .and_then(|m| CheckpointManifest::from_json(m).ok())
-            .filter(|m| m.validate(&spec, &input).is_ok());
-        match resume {
-            Some(m) => sort::resume_from(&spec, &input, &m, &mut sink),
+        match manifest.filter(|m| m.validate(&spec, &input).is_ok()) {
+            Some(m) => sort::resume_from(&spec, &input, m, &mut sink),
             None => sort::run_staged(&spec, &input, &mut sink),
         }
     } else {
@@ -1195,8 +1208,7 @@ fn run_job(
             _ => FailureKind::Fatal,
         },
         message: e.to_string(),
-    })?;
-    Ok(outcome.to_json(request.include_output))
+    })
 }
 
 /// The same job description with its file directory re-pointed (wire specs

@@ -6,7 +6,7 @@
 //! typed rejections, and a graceful drain must flush every lifecycle event
 //! to the audit log.
 
-use asym_core::sort::{self, Algorithm, SortOutcome, SortSpec};
+use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::json::Json;
 use asym_model::workload::Workload;
 use asym_serve::{JobRequest, JobState, ServiceConfig, SortService, SubmitError};
@@ -100,8 +100,7 @@ fn six_concurrent_jobs_against_a_two_job_budget() {
     for (seed, id) in &accepted {
         let status = service.wait(*id).expect("known job");
         assert_eq!(status.state, JobState::Completed, "{:?}", status.error);
-        let outcome =
-            SortOutcome::from_json(status.telemetry.as_ref().expect("telemetry")).expect("decode");
+        let outcome = status.outcome.as_ref().expect("outcome");
         let request = standard_job(*seed);
         let direct = sort::run(
             &request.spec,
@@ -209,7 +208,7 @@ fn file_backend_jobs_get_isolated_directories() {
         "per-job dir created"
     );
     // Isolation does not change the modeled costs or the output.
-    let outcome = SortOutcome::from_json(&status.telemetry.unwrap()).expect("decode");
+    let outcome = status.outcome.expect("outcome");
     let mem = sort::run(
         &standard_spec(),
         &job.workload.generate(job.records, job.data_seed),

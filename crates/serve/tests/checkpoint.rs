@@ -5,9 +5,7 @@
 //! truncated; a stale manifest after the terminal outcome is ignored; and
 //! recovery is idempotent.
 
-use asym_core::sort::{
-    self, Algorithm, CheckpointManifest, MemCheckpointer, SortOutcome, SortSpec,
-};
+use asym_core::sort::{self, Algorithm, MemCheckpointer, SortOutcome, SortSpec};
 use asym_model::workload::Workload;
 use asym_serve::{
     replay, AuditEvent, JobRequest, JobState, ReplayOutcome, ServiceConfig, SortService,
@@ -43,7 +41,9 @@ fn checkpointed_phases(root: &Path, id: u64) -> Vec<u64> {
     text.lines()
         .filter(|l| !l.trim().is_empty())
         .filter_map(|l| match AuditEvent::from_json(l) {
-            Ok(AuditEvent::Checkpointed { id: jid, phase, .. }) if jid == id => Some(phase),
+            Ok(AuditEvent::Checkpointed { id: jid, manifest }) if jid == id => {
+                Some(manifest.phases_done)
+            }
             _ => None,
         })
         .collect()
@@ -93,7 +93,7 @@ fn job_killed_after_phase_k_resumes_from_phase_k_plus_one() {
 
     let pre = replay(&std::fs::read_to_string(root.join("audit.jsonl")).expect("audit"))
         .expect("replays");
-    let k = pre.jobs[&id].checkpoint_phase;
+    let k = pre.jobs[&id].checkpoint_phase();
     assert!(
         k >= 1 && k < total,
         "killed mid-job at phase {k} of {total}"
@@ -105,7 +105,7 @@ fn job_killed_after_phase_k_resumes_from_phase_k_plus_one() {
     assert_eq!(report.requeued, 1);
     let done = service.wait(id).expect("known job");
     assert_eq!(done.state, JobState::Completed, "{:?}", done.error);
-    let got = SortOutcome::from_json(done.telemetry.as_ref().expect("telemetry")).expect("decode");
+    let got = done.outcome.as_ref().expect("outcome");
     assert_eq!(got.output, want.output, "resumed output diverged");
     assert_eq!(
         got.stats, want.stats,
@@ -132,12 +132,11 @@ fn job_killed_after_phase_k_resumes_from_phase_k_plus_one() {
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         if let Ok(AuditEvent::Checkpointed {
             id: jid,
-            phase,
-            manifest,
+            manifest: m,
         }) = AuditEvent::from_json(line)
         {
             if jid == id {
-                let m = CheckpointManifest::from_json(&manifest).expect("manifest decodes");
+                let phase = m.phases_done;
                 assert_eq!(&m, &full.manifests[(phase - 1) as usize], "phase {phase}");
             }
         }
@@ -164,13 +163,11 @@ fn torn_checkpoint_line_is_tolerated_and_resume_starts_from_the_last_whole_one()
         AuditEvent::Started { id: 0, attempt: 1 },
         AuditEvent::Checkpointed {
             id: 0,
-            phase: 1,
-            manifest: full.manifests[0].to_json(),
+            manifest: full.manifests[0].clone(),
         },
         AuditEvent::Checkpointed {
             id: 0,
-            phase: 2,
-            manifest: full.manifests[1].to_json(),
+            manifest: full.manifests[1].clone(),
         },
     ] {
         log.push_str(&ev.to_json());
@@ -178,8 +175,7 @@ fn torn_checkpoint_line_is_tolerated_and_resume_starts_from_the_last_whole_one()
     }
     let torn = AuditEvent::Checkpointed {
         id: 0,
-        phase: 3,
-        manifest: full.manifests[2].to_json(),
+        manifest: full.manifests[2].clone(),
     }
     .to_json();
     log.push_str(&torn[..torn.len() / 2]); // crash mid-write
@@ -187,7 +183,11 @@ fn torn_checkpoint_line_is_tolerated_and_resume_starts_from_the_last_whole_one()
 
     let rep = replay(&log).expect("torn tail tolerated");
     assert!(rep.torn_tail);
-    assert_eq!(rep.jobs[&0].checkpoint_phase, 2, "last whole manifest wins");
+    assert_eq!(
+        rep.jobs[&0].checkpoint_phase(),
+        2,
+        "last whole manifest wins"
+    );
 
     let (service, report) =
         SortService::recover(ServiceConfig::new(1, u64::MAX, root.clone())).expect("recover");
@@ -195,7 +195,7 @@ fn torn_checkpoint_line_is_tolerated_and_resume_starts_from_the_last_whole_one()
     assert_eq!(report.requeued, 1);
     let done = service.wait(0).expect("known job");
     assert_eq!(done.state, JobState::Completed, "{:?}", done.error);
-    let got = SortOutcome::from_json(done.telemetry.as_ref().expect("telemetry")).expect("decode");
+    let got = done.outcome.as_ref().expect("outcome");
     assert_eq!(got.output, want.output);
     assert_eq!(got.stats, want.stats);
     service.drain();
@@ -217,7 +217,7 @@ fn stale_manifest_after_terminal_outcome_is_ignored_and_recovery_is_idempotent()
     std::fs::create_dir_all(&root).expect("mkdir");
     let request = staged_job(2_000);
     let (want, full) = reference(&request);
-    let telemetry = want.to_json(true);
+    let outcome = std::sync::Arc::new(want.clone());
 
     let mut log = String::new();
     for ev in [
@@ -229,19 +229,19 @@ fn stale_manifest_after_terminal_outcome_is_ignored_and_recovery_is_idempotent()
         AuditEvent::Started { id: 0, attempt: 1 },
         AuditEvent::Checkpointed {
             id: 0,
-            phase: full.manifests.len() as u64,
-            manifest: full.manifests.last().unwrap().to_json(),
+            manifest: full.manifests.last().unwrap().clone(),
         },
         AuditEvent::Completed {
             id: 0,
-            telemetry: telemetry.clone(),
+            outcome: outcome.clone(),
+            output_len: request.records,
+            include_output: true,
         },
         // A stale (older) manifest line landing after the terminal
         // outcome — replay must not resurrect the job or touch progress.
         AuditEvent::Checkpointed {
             id: 0,
-            phase: 1,
-            manifest: full.manifests[0].to_json(),
+            manifest: full.manifests[0].clone(),
         },
     ] {
         log.push_str(&ev.to_json());
@@ -259,8 +259,7 @@ fn stale_manifest_after_terminal_outcome_is_ignored_and_recovery_is_idempotent()
         assert_eq!(report.restored, 1, "round {round}");
         let done = service.status(0).expect("known job");
         assert_eq!(done.state, JobState::Completed);
-        let got =
-            SortOutcome::from_json(done.telemetry.as_ref().expect("telemetry")).expect("decode");
+        let got = done.outcome.as_ref().expect("outcome");
         assert_eq!(got.output, want.output, "round {round}");
         assert_eq!(got.stats, want.stats, "round {round}");
         service.kill(); // leave the log as-is for the next round

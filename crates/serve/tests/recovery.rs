@@ -6,7 +6,7 @@
 //! real session's `audit.jsonl` yields a consistent state, and longer
 //! prefixes only ever add information.
 
-use asym_core::sort::{self, Algorithm, SortOutcome, SortSpec};
+use asym_core::sort::{self, Algorithm, SortSpec};
 use asym_model::workload::Workload;
 use asym_serve::{replay, JobRequest, JobState, ReplayOutcome, ServiceConfig, SortService};
 use em_sim::FaultSpec;
@@ -83,8 +83,7 @@ fn kill_and_recover_restores_queue_counters_and_results() {
             "{id}: {:?}",
             status.error
         );
-        let outcome =
-            SortOutcome::from_json(status.telemetry.as_ref().expect("telemetry")).expect("decode");
+        let outcome = status.outcome.as_ref().expect("outcome");
         let request = job(id, if id == 6 { 20_000 } else { 60_000 });
         let direct = sort::run(
             &request.spec,
@@ -258,7 +257,7 @@ fn session_log() -> &'static str {
             ReplayOutcome::Completed { .. }
         ));
         assert!(
-            full.jobs[&4].checkpoint_phase > 0 && full.jobs[&4].manifest.is_some(),
+            full.jobs[&4].checkpoint_phase() > 0 && full.jobs[&4].manifest.is_some(),
             "the staged job left checkpointed events in the log"
         );
         text
@@ -291,10 +290,10 @@ fn longer_prefixes_only_add_information() {
         for (&id, j) in &rep.jobs {
             let prev = prev_phases.get(&id).copied().unwrap_or(0);
             assert!(
-                j.checkpoint_phase >= prev,
+                j.checkpoint_phase() >= prev,
                 "checkpoint progress of job {id} regressed at {cut}"
             );
-            prev_phases.insert(id, j.checkpoint_phase);
+            prev_phases.insert(id, j.checkpoint_phase());
         }
         prev_terminal = rep
             .jobs
@@ -331,7 +330,7 @@ proptest! {
             prop_assert_eq!(&j.request, &f.request, "request {} mutated", id);
             prop_assert!(j.attempts <= f.attempts);
             prop_assert!(
-                j.checkpoint_phase <= f.checkpoint_phase,
+                j.checkpoint_phase() <= f.checkpoint_phase(),
                 "checkpoint progress of {} ahead of the full log",
                 id
             );

@@ -6,7 +6,8 @@
 //!
 //! Starts an HTTP sort server on loopback, plays a small multi-tenant
 //! session against it — mixed algorithms, a rejection, a file-backed job —
-//! and prints the admission ledger. The point of the demo is the
+//! and prints the admission ledger. The service root (audit log and
+//! per-job directories) is a temp dir removed before exit. The point of the demo is the
 //! admission-control claim: every decision is made *before* the sort runs,
 //! from `SortSpec::predict()` alone, and the predicted peak memory is a
 //! hard bound, so "admitted" means "cannot thrash".
@@ -145,14 +146,12 @@ fn main() {
         let status = server.service().wait(id).expect("known job");
         match status.state {
             JobState::Completed => {
-                // Telemetry is the wire-format SortOutcome; show headline numbers.
-                let t = status.telemetry.expect("telemetry");
-                let v = asym_model::json::Json::parse(&t).expect("parses");
+                let outcome = status.outcome.expect("completed jobs carry an outcome");
                 println!(
                     "job {id} ({name}): {} reads, {} writes, io cost {}",
-                    v.get("reads").and_then(|x| x.as_u64()).unwrap_or(0),
-                    v.get("writes").and_then(|x| x.as_u64()).unwrap_or(0),
-                    v.get("io_cost").and_then(|x| x.as_u64()).unwrap_or(0),
+                    outcome.stats.block_reads,
+                    outcome.stats.block_writes,
+                    outcome.io_cost(),
                 );
             }
             _ => println!("job {id} ({name}): {:?}", status.error),
@@ -168,5 +167,8 @@ fn main() {
         stats.peak_in_flight_bytes,
         stats.budget_bytes,
     );
-    println!("audit log at {}", root.join("audit.jsonl").display());
+    drop(server); // drains the service and flushes the audit log
+    let audit = std::fs::read_to_string(root.join("audit.jsonl")).expect("read audit log");
+    println!("audit log: {} events", audit.lines().count());
+    std::fs::remove_dir_all(&root).expect("remove the service root");
 }
